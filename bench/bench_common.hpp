@@ -1,8 +1,10 @@
 #pragma once
 // Shared calibration for the figure benches.
 //
-// Two cost vectors drive the DES (see DESIGN.md §1 on why the figures run
-// in virtual time on this host):
+// Two cost vectors drive the DES. The figures run in virtual time because
+// the paper's platforms (64 CPU workers, an A6000 behind PCIe) are
+// modelled, not present: wall time on a small host would measure the
+// host, not the schemes.
 //
 //  * `measured`  — in-tree operation costs profiled live on this machine
 //    (§4.2 profiler, Gomoku-shaped synthetic tree) plus the real
@@ -73,7 +75,8 @@ inline void print_banner(const char* what) {
   std::printf(
       "\n=== %s ===\n"
       "timing source: virtual-time DES calibrated per bench_common.hpp\n"
-      "(1-core host; see DESIGN.md section 1 for the substitution note)\n",
+      "(the paper's 64-core + A6000 platform is modelled, not measured;\n"
+      " see the bench_common.hpp header for both cost vectors)\n",
       what);
 }
 

@@ -1,31 +1,30 @@
-// Eval-cache bench (ISSUE 4): sweeps concurrent games K and cache capacity
-// (including cache-off) on the MatchService's shared queue and records the
+// Search-memory bench: sweeps concurrent games K and eval-cache capacity
+// (including cache-off) on one MatchService pool lane and records the
 // dedupe win — evals saved (cache hits + in-flight coalesces), the
 // resulting hit rate, unique backend evaluations, and aggregate served
 // evals/s — into a JSON baseline (default BENCH_cache.json, or argv[1]).
 //
-// ISSUE 7 adds the transposition-table rows: full games of Othello and
-// Connect4 at a fixed per-move simulation budget, TT on vs off (no eval
-// cache in these rows, so the reduction is the TT's alone). Grafts must
-// cut both node expansions and backend evaluations while — kPriors being
-// bitwise-faithful — leaving every move of the game identical.
-//
 // Setup mirrors fig_service_throughput: K serial-engine Gomoku games share
-// one AsyncBatchEvaluator (threshold 4) over a wall-emulated A6000 model,
-// fixed seeds, adaptation off — so per-game move sequences are a function
-// of the game id only. That determinism is also the correctness check this
-// bench enforces: with exact 64-bit coalescing, every game must finish with
-// the same winner and move count whether the cache is on or off, while the
-// backend performs strictly fewer evaluations.
+// one lane queue (threshold pinned at 4, no aggregate controller) over a
+// wall-emulated A6000 model, fixed seeds, adaptation off — so per-game
+// move sequences are a function of the game id only. That determinism is
+// also the correctness check this bench enforces: with exact 64-bit
+// coalescing, every game must finish with the same winner and move count
+// whether the cache is on or off, while the backend performs strictly
+// fewer evaluations.
 //
-// ISSUE 9 adds the lane-shared TT rows: the same K-game pool-mode service
-// run twice — each engine owning a PRIVATE table vs all K games grafting
-// from one lane-owned SHARED table (eval cache off in both, so the delta
-// is transposition memory's alone). Under kPriors both runs must replay
-// identical games while the shared run performs fewer backend evaluations
-// at K >= 4 (cross-game residency: one game's expansion is every sibling's
-// graft). A graft-mode gate row (kStats vs kPriors match play) records the
-// evidence DESIGN_transposition.md cites for the default graft mode.
+// Transposition-table rows: full games of Othello and Connect4 at a fixed
+// per-move simulation budget, TT on vs off (no eval cache in these rows, so
+// the reduction is the TT's alone). Grafts must cut both node expansions
+// and backend evaluations while — grafts being bitwise-faithful — leaving
+// every move of the game identical.
+//
+// Lane-shared TT rows: the same K-game service run twice — each engine
+// owning a PRIVATE table vs all K games grafting from one lane-owned SHARED
+// table (eval cache off in both, so the delta is transposition memory's
+// alone). Both runs must replay identical games while the shared run
+// performs fewer backend evaluations at K >= 4 (cross-game residency: one
+// game's expansion is every sibling's graft).
 
 #include <cstdio>
 #include <memory>
@@ -37,7 +36,6 @@
 #include "games/gomoku.hpp"
 #include "games/othello.hpp"
 #include "mcts/engine.hpp"
-#include "serve/graft_gate.hpp"
 #include "serve/match_service.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
@@ -59,45 +57,63 @@ struct JsonWriter {
 
 struct RunResult {
   ServiceStats stats;
-  CacheStats cache;
   std::vector<int> winners;  // by game id (result-identity check)
   std::vector<int> moves;
 };
 
-// Plays 2·K games on K slots over a fresh shared queue; cache_capacity 0
-// runs without a cache attached.
+// Transposition memory of a service run: none, one private table per
+// engine, or one table the lane's K games share.
+enum class TtMode { kOff, kPrivate, kShared };
+
+// Plays 2·K games on K slots of one fresh pool lane (threshold pinned at 4);
+// cache_capacity 0 runs the lane uncached. Identical engine templates and
+// seeds in every mode, so every run must produce identical games.
 RunResult run_service(const Game& game, int concurrent_games,
-                      std::size_t cache_capacity) {
+                      std::size_t cache_capacity, TtMode tt_mode) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
-  EvalCache cache({.capacity = cache_capacity ? cache_capacity : 1,
-                   .shards = 8,
-                   .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/1500.0);
-  if (cache_capacity > 0) queue.set_cache(&cache);
+
+  TtConfig tt;
+  tt.enabled = true;
+  tt.capacity = 1 << 15;
+  tt.max_edges = 64;
+
+  EvaluatorPool pool;
+  ModelSpec spec;
+  spec.name = "net";
+  spec.backend = &backend;
+  spec.batch_threshold = 4;
+  spec.num_streams = 2;
+  spec.stale_flush_us = 1500.0;
+  spec.cache = cache_capacity > 0;
+  spec.cache_cfg = {.capacity = cache_capacity, .shards = 8, .ways = 4};
+  if (tt_mode == TtMode::kShared) spec.tt = tt;
+  pool.add_model(spec);
+
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = concurrent_games;
+  w.engine.mcts.num_playouts = 64;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  if (tt_mode == TtMode::kPrivate) w.engine.tt = tt;
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 64;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = concurrent_games;
   sc.workers = 8;
+  sc.aggregate.enabled = false;
 
   RunResult r;
-  {
-    MatchService service(sc, game, {.batch = &queue});
-    service.enqueue(2 * concurrent_games);
-    service.start();
-    service.drain();
-    r.stats = service.stats();
-    for (const GameRecord& rec : service.take_completed()) {
-      r.winners.push_back(rec.stats.winner);
-      r.moves.push_back(rec.stats.moves);
-    }
-    service.stop();
+  MatchService service(sc, pool, {std::move(w)});
+  service.enqueue(2 * concurrent_games);
+  service.start();
+  service.drain();
+  r.stats = service.stats();
+  for (const GameRecord& rec : service.take_completed()) {
+    r.winners.push_back(rec.stats.winner);
+    r.moves.push_back(rec.stats.moves);
   }
-  r.cache = cache.stats();
+  service.stop();
   return r;
 }
 
@@ -144,57 +160,6 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
   return r;
 }
 
-// Plays 2·K games on K pool-mode slots, eval cache OFF; `shared` hands all
-// K games one lane-owned TT, otherwise each engine keeps a private table of
-// the same size. Identical engine templates and seeds either way, so under
-// kPriors the two runs must produce identical games.
-RunResult run_lane_tt_service(const Game& game, int concurrent_games,
-                              bool shared) {
-  SyntheticEvaluator eval(game.action_count(), game.encode_size());
-  SimGpuBackend backend(eval, GpuTimingModel{}, /*emulate_wall_time=*/true);
-
-  TtConfig tt;
-  tt.enabled = true;
-  tt.capacity = 1 << 15;
-  tt.max_edges = 64;
-
-  EvaluatorPool pool;
-  ModelSpec spec;
-  spec.name = "net";
-  spec.backend = &backend;
-  spec.batch_threshold = 4;
-  spec.num_streams = 2;
-  spec.stale_flush_us = 1500.0;
-  spec.cache = false;  // the delta must be transposition memory's alone
-  if (shared) spec.tt = tt;
-  pool.add_model(spec);
-
-  ServiceWorkload w;
-  w.proto = std::shared_ptr<const Game>(game.clone());
-  w.model = "net";
-  w.slots = concurrent_games;
-  w.engine.mcts.num_playouts = 64;
-  w.engine.scheme = Scheme::kSerial;
-  w.engine.adapt = false;
-  if (!shared) w.engine.tt = tt;  // per-engine private tables instead
-
-  ServiceConfig sc;
-  sc.workers = 8;
-
-  RunResult r;
-  MatchService service(sc, pool, {std::move(w)});
-  service.enqueue(2 * concurrent_games);
-  service.start();
-  service.drain();
-  r.stats = service.stats();
-  for (const GameRecord& rec : service.take_completed()) {
-    r.winners.push_back(rec.stats.winner);
-    r.moves.push_back(rec.stats.moves);
-  }
-  service.stop();
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -208,8 +173,8 @@ int main(int argc, char** argv) {
   JsonWriter json{f};
 
   std::printf(
-      "=== eval cache: cross-game dedupe at the shared queue ===\n"
-      "shared AsyncBatchEvaluator, threshold 4, wall-emulated A6000 model;\n"
+      "=== eval cache: cross-game dedupe at the shared lane queue ===\n"
+      "one pool lane, threshold pinned at 4, wall-emulated A6000 model;\n"
       "serial engines, fixed seeds (deterministic), 2K games on K slots\n\n");
 
   const Gomoku game(5, 4);
@@ -222,8 +187,8 @@ int main(int argc, char** argv) {
   bool strictly_fewer = true;
   double hit_rate_k4 = 0.0;
   for (const int k : {1, 2, 4, 8}) {
-    const RunResult off = run_service(game, k, 0);
-    const RunResult on = run_service(game, k, kDefaultCapacity);
+    const RunResult off = run_service(game, k, 0, TtMode::kOff);
+    const RunResult on = run_service(game, k, kDefaultCapacity, TtMode::kOff);
     results_identical = results_identical && on.winners == off.winners &&
                         on.moves == off.moves;
     strictly_fewer =
@@ -262,18 +227,19 @@ int main(int argc, char** argv) {
                 "evals/s"});
   for (const std::size_t cap : {std::size_t{256}, std::size_t{1} << 12,
                                 std::size_t{1} << 14}) {
-    const RunResult r = run_service(game, 4, cap);
+    const RunResult r = run_service(game, 4, cap, TtMode::kOff);
     const std::size_t saved = r.stats.cache_hits + r.stats.coalesced_evals;
-    csweep.add_row({std::to_string(r.cache.capacity),
+    csweep.add_row({std::to_string(r.stats.cache.capacity),
                     std::to_string(r.stats.batch.submitted),
                     std::to_string(saved),
                     Table::fmt(r.stats.cache_hit_rate, 3),
-                    std::to_string(r.cache.evictions),
+                    std::to_string(r.stats.cache.evictions),
                     Table::fmt(r.stats.evals_per_second, 0)});
-    const std::string suffix = "_k4_cap" + std::to_string(r.cache.capacity);
+    const std::string suffix =
+        "_k4_cap" + std::to_string(r.stats.cache.capacity);
     json.entry("cache_hit_rate" + suffix, r.stats.cache_hit_rate, "fraction");
     json.entry("cache_evictions" + suffix,
-               static_cast<double>(r.cache.evictions), "evictions");
+               static_cast<double>(r.stats.cache.evictions), "evictions");
     json.entry("cache_evals_per_s" + suffix, r.stats.evals_per_second,
                "evals/s");
   }
@@ -295,7 +261,7 @@ int main(int argc, char** argv) {
            {"othello6", othello, 512}, {"connect4", connect4, 512}}) {
     const TtRunResult off = run_tt_game(tc.game, tc.playouts, false);
     const TtRunResult on = run_tt_game(tc.game, tc.playouts, true);
-    // kPriors grafting is bitwise-faithful under the deterministic serial
+    // Grafting is bitwise-faithful under the deterministic serial
     // scheme: the whole game must replay move for move.
     tt_identical = tt_identical && on.actions == off.actions &&
                    on.winner == off.winner;
@@ -336,9 +302,9 @@ int main(int argc, char** argv) {
   bool shared_identical = true;
   bool shared_fewer = true;  // gated at K >= 4 (cross-game residency win)
   for (const int k : {2, 4, 8}) {
-    const RunResult priv = run_lane_tt_service(game, k, /*shared=*/false);
-    const RunResult shrd = run_lane_tt_service(game, k, /*shared=*/true);
-    // kPriors grafts install exactly what a cold expansion would have, so
+    const RunResult priv = run_service(game, k, 0, TtMode::kPrivate);
+    const RunResult shrd = run_service(game, k, 0, TtMode::kShared);
+    // Grafts install exactly what a cold expansion would have, so
     // sharing the table across games must not move a single result.
     shared_identical = shared_identical && shrd.winners == priv.winners &&
                        shrd.moves == priv.moves;
@@ -371,56 +337,7 @@ int main(int argc, char** argv) {
   }
   stable.print(
       "lane-shared vs per-engine private TT: 2K games on K slots, "
-      "kPriors grafts, no eval cache");
-
-  // --- graft-mode gate: kStats vs kPriors match play ----------------------
-  // Informational (not exit-gated): the recorded score is the evidence
-  // DESIGN_transposition.md cites for keeping or flipping the default
-  // graft mode. A play-neutral kStats scores ~0.5 by color-swap symmetry.
-  Table gtable({"game", "games", "kStats W/L/D", "score", "pass"});
-  struct GateCase {
-    const char* name;
-    const Game& game;
-  };
-  for (const GateCase& gc : std::initializer_list<GateCase>{
-           {"connect4", connect4}, {"othello6", othello}}) {
-    SyntheticEvaluator geval(gc.game.action_count(), gc.game.encode_size());
-    SimGpuBackend gbackend(geval, GpuTimingModel{});
-    EvaluatorPool gpool;
-    ModelSpec gspec;
-    gspec.name = "net";
-    gspec.backend = &gbackend;
-    gspec.batch_threshold = 1;
-    gspec.stale_flush_us = 500.0;
-    gpool.add_model(gspec);
-
-    GraftGateConfig gcfg;
-    gcfg.model = "net";
-    gcfg.games = 12;
-    gcfg.opening_moves = 2;
-    gcfg.max_moves = 72;
-    gcfg.engine.mcts.num_playouts = 160;
-    gcfg.engine.scheme = Scheme::kSerial;
-    gcfg.engine.adapt = false;
-    gcfg.engine.tt.capacity = 1 << 14;
-    gcfg.engine.tt.max_edges = 64;
-
-    const MatchGateReport rep = run_graft_gate(gpool, gc.game, gcfg);
-    gtable.add_row({gc.name, std::to_string(rep.games),
-                    std::to_string(rep.candidate_wins) + "/" +
-                        std::to_string(rep.candidate_losses) + "/" +
-                        std::to_string(rep.draws),
-                    Table::fmt(rep.candidate_score, 3),
-                    rep.pass ? "yes" : "NO"});
-    const std::string suffix = std::string("_") + gc.name;
-    json.entry("graft_gate_kstats_score" + suffix, rep.candidate_score,
-               "score");
-    json.entry("graft_gate_kstats_pass" + suffix, rep.pass ? 1.0 : 0.0,
-               "bool");
-  }
-  gtable.print(
-      "graft-mode gate: kStats (candidate) vs kPriors (baseline), "
-      "color-swap pairs, serial 160-playout engines");
+      "no eval cache");
 
   json.entry("shared_tt_results_identical", shared_identical ? 1.0 : 0.0,
              "bool");

@@ -137,7 +137,8 @@ void fill_tt(TranspositionTable& tt, int edges_per_entry,
     edges[i].prior = 1.0f / static_cast<float>(edges_per_entry);
   }
   for (std::uint64_t k = 1; k <= entries; ++k) {
-    tt.store(k * kKeyStride, 0.1f, 4, edges.data(), edges_per_entry, false);
+    tt.store(k * kKeyStride, 0.1f, 4, edges.data(), edges_per_entry, 0,
+             false);
   }
 }
 
@@ -176,7 +177,7 @@ void BM_TtStore(benchmark::State& state) {
   std::uint64_t k = 0;
   for (auto _ : state) {
     ++k;
-    tt.store(k * kKeyStride, 0.1f, 4, edges, 32, false);
+    tt.store(k * kKeyStride, 0.1f, 4, edges, 32, 0, false);
   }
 }
 BENCHMARK(BM_TtStore)->Arg(1 << 10)->Arg(1 << 16);
@@ -204,7 +205,7 @@ void BM_TtGraft(benchmark::State& state) {
     ExpandState expected = ExpandState::kLeaf;
     root.state.compare_exchange_strong(expected, ExpandState::kExpanding);
     state.ResumeTiming();
-    ops.expand_from_tt(tree.root(), 0x1234ULL, hit, GraftMode::kPriors, 0.5f);
+    ops.expand_from_tt(tree.root(), 0x1234ULL, hit);
   }
 }
 BENCHMARK(BM_TtGraft)->Arg(25)->Arg(225)->Arg(361);

@@ -50,18 +50,12 @@ SearchEngine::SearchEngine(EngineConfig cfg, SearchResources res)
                   cfg_.workers, cfg_.batch_threshold) {
   APM_CHECK_MSG(res_.evaluator != nullptr || res_.batch != nullptr,
                 "SearchEngine: no evaluation resource provided");
-  if (res_.tt != nullptr) {
-    // Externally owned lane-shared table (EvaluatorPool via MatchService):
-    // shared mode wins over the template's cfg.tt — the engine builds no
-    // private table, never clears the shared one, and only ever advances
-    // its generation monotonically (other engines' live entries sit above
-    // this engine's private epoch).
-    res_.tt_shared = true;
-  } else if (cfg_.tt.enabled) {
+  // An externally owned lane-shared table (EvaluatorPool via MatchService)
+  // wins over the template's cfg.tt: the engine then builds no private
+  // table and never clears the shared one.
+  if (res_.tt == nullptr && cfg_.tt.enabled) {
     tt_ = std::make_unique<TranspositionTable>(cfg_.tt);
-    tt_->set_generation(tree_.epoch());
     res_.tt = tt_.get();
-    res_.tt_shared = false;
   }
   rebuild_driver(cfg_.scheme, cfg_.workers, cfg_.batch_threshold);
   if (cfg_.background_compaction) {
@@ -109,35 +103,22 @@ SearchTree::NodeArchiver SearchEngine::make_archiver() {
       heap.resize(static_cast<std::size_t>(n.num_edges));
       out = heap.data();
     }
+    std::int64_t visits = 0;
     for (std::int32_t i = 0; i < n.num_edges; ++i) {
       const Edge& e = tree_.edge(n.first_edge + i);
       out[i].action = e.action;
       out[i].prior = e.prior;
-      out[i].visits = e.visits.load(std::memory_order_relaxed);
-      out[i].value_sum =
-          static_cast<double>(e.value_sum.load(std::memory_order_relaxed));
+      visits += e.visits.load(std::memory_order_relaxed);
     }
-    res_.tt->store(n.hash, n.value, /*depth=*/0, out, n.num_edges,
+    res_.tt->store(n.hash, n.value, /*depth=*/0, out, n.num_edges, visits,
                    /*release_inflight=*/false);
   };
-}
-
-void SearchEngine::advance_tt_clock() {
-  if (res_.tt == nullptr) return;
-  if (res_.tt_shared) {
-    // Lane-level monotonic move counter: every attached engine ticks the
-    // shared clock forward on its own move/reset boundary; nobody ever
-    // writes an absolute epoch into it.
-    res_.tt->bump_generation();
-  } else {
-    res_.tt->set_generation(tree_.epoch());
-  }
 }
 
 void SearchEngine::run_advance(int action) {
   obs::SpanScope span("advance_root", "mcts");
   const bool kept = tree_.advance_root(action, make_archiver());
-  advance_tt_clock();
+  if (res_.tt != nullptr) res_.tt->bump_generation();
   pending_reuse_ = kept;
   reusable_visits_ = kept ? tree_.root_visit_total() : 0;
   if (span.active()) {
@@ -296,7 +277,7 @@ void SearchEngine::advance(int action) {
   wait_compaction();
   if (!cfg_.reuse_tree) {
     tree_.reset();
-    advance_tt_clock();
+    if (res_.tt != nullptr) res_.tt->bump_generation();
     pending_reuse_ = false;
     reusable_visits_ = 0;
     return;
@@ -322,7 +303,7 @@ void SearchEngine::reset_game() {
     // clearing on weight updates — is owned by EvaluatorPool::invalidate.
     tt_->clear();
   }
-  advance_tt_clock();
+  if (res_.tt != nullptr) res_.tt->bump_generation();
   pending_reuse_ = false;
   reusable_visits_ = 0;
   // Bound the adaptation trace across long runs (thousands of episodes):

@@ -66,11 +66,11 @@ struct EngineConfig {
   ProfiledCosts seed_costs;
 
   // Transposition table (tt.enabled builds one, owned by the engine and
-  // attached to every driver). Its generation stamp tracks the tree's
+  // attached to every driver). Its generation clock ticks with the tree's
   // compaction epoch; advance_root()'s archive pass folds discarded
   // subtrees back into it. Ignored when the caller supplies a lane-shared
   // table via SearchResources::tt — shared residency wins, and the lane
-  // owner (EvaluatorPool) controls sizing, graft mode and clearing.
+  // owner (EvaluatorPool) controls sizing and clearing.
   TtConfig tt;
   // Keep TT entries across reset_game(): position memos are pure function
   // of the (deterministic) evaluator, so cross-game carry-over is sound —
@@ -145,8 +145,6 @@ class SearchEngine {
   // caller set SearchResources::tt (which wins over cfg.tt), nullptr
   // otherwise.
   TranspositionTable* transposition() { return res_.tt; }
-  // true when the active table is lane-shared (externally owned).
-  bool transposition_shared() const { return res_.tt_shared; }
   // Blocks until a pending background compaction (if any) has finished —
   // search()/advance()/reset_game() call this implicitly; tests and stats
   // readers can call it directly before touching the tree.
@@ -164,11 +162,6 @@ class SearchEngine {
   // The advance_root + TT-generation + reuse-crediting step, runnable
   // either inline or on the compactor thread.
   void run_advance(int action);
-  // Advances the active table's replacement clock at a move/reset
-  // boundary: epoch lockstep for a private table, a monotonic bump for a
-  // lane-shared one (which serves other engines' games concurrently and
-  // must never be rewound to this engine's epoch).
-  void advance_tt_clock();
   SearchTree::NodeArchiver make_archiver();
   void compactor_loop();
 

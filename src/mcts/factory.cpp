@@ -54,7 +54,7 @@ std::unique_ptr<MctsSearch> make_search(Scheme scheme, MctsConfig cfg,
   std::unique_ptr<MctsSearch> search =
       build(scheme, cfg, workers, res, shared_tree);
   search->set_batch_tag(res.batch_tag);
-  search->set_transposition(res.tt, res.tt_shared);
+  search->set_transposition(res.tt);
   return search;
 }
 

@@ -23,16 +23,10 @@ struct SearchResources {
   AsyncBatchEvaluator* batch = nullptr;
   int batch_tag = -1;
   // Optional caller-owned transposition table, attached to the built
-  // search via MctsSearch::set_transposition().
+  // search via MctsSearch::set_transposition(). May be shared with other
+  // engines (an EvaluatorPool lane table): attached searches only ever
+  // bump its generation clock, so sharing never rewinds anyone's entries.
   TranspositionTable* tt = nullptr;
-  // true: `tt` is a LANE-shared table serving other engines' games
-  // concurrently (EvaluatorPool ownership). The attached search then
-  // advances the table's generation monotonically (bump_generation) on its
-  // own resets instead of overwriting it with its private tree epoch —
-  // engine B starting a fresh game must never rewind the lane clock under
-  // engine A's live entries. false (default): the historical private-table
-  // contract, generation in lockstep with SearchTree::epoch().
-  bool tt_shared = false;
 };
 
 // `shared_tree` != nullptr runs the scheme over an externally owned arena

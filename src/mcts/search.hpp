@@ -56,17 +56,10 @@ class MctsSearch {
   // Attaches a caller-owned transposition table (nullptr detaches). The
   // TT-aware drivers (Serial/SharedTree/LocalTree) probe it before every
   // leaf evaluation and store every fresh expansion; other schemes ignore
-  // it. The owner manages generations/clearing: for a private table
-  // (shared = false) the search keeps the generation in lockstep with
-  // SearchTree::epoch(); for a lane-shared table (shared = true, see
-  // SearchResources::tt_shared) it bumps the generation monotonically
-  // instead — a shared clock must never rewind to one engine's epoch.
-  void set_transposition(TranspositionTable* tt, bool shared = false) {
-    tt_ = tt;
-    tt_shared_ = shared;
-  }
+  // it. The owner manages clearing; the search bumps the table's
+  // generation clock once per arena reset (see begin_move).
+  void set_transposition(TranspositionTable* tt) { tt_ = tt; }
   TranspositionTable* transposition() const { return tt_; }
-  bool transposition_shared() const { return tt_shared_; }
 
  protected:
   explicit MctsSearch(MctsConfig cfg, SearchTree* shared_tree = nullptr)
@@ -91,18 +84,9 @@ class MctsSearch {
     if (!reuse) {
       tree_.reset();
       // reset() bumps the arena epoch exactly like advance_root()
-      // compaction does; keep the TT's replacement clock in lockstep so
-      // pre-reset memos age instead of reading as current. A lane-shared
-      // table ticks forward instead: its clock belongs to every engine on
-      // the lane, and overwriting it with this tree's (small, private)
-      // epoch would rewind the aging of other games' live entries.
-      if (tt_ != nullptr) {
-        if (tt_shared_) {
-          tt_->bump_generation();
-        } else {
-          tt_->set_generation(tree_.epoch());
-        }
-      }
+      // compaction does; tick the TT's replacement clock with it so
+      // pre-reset memos age instead of reading as current.
+      if (tt_ != nullptr) tt_->bump_generation();
     }
     metrics.reused_nodes = reuse ? tree_.node_count() : 0;
     metrics.reused_visits = reuse ? tree_.root_visit_total() : 0;
@@ -140,7 +124,6 @@ class MctsSearch {
   std::unique_ptr<SearchTree> owned_tree_;
   SearchTree& tree_;
   TranspositionTable* tt_ = nullptr;
-  bool tt_shared_ = false;
 
  private:
   bool reuse_next_ = false;

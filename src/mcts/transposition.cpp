@@ -70,7 +70,6 @@ TtProbeResult TranspositionTable::probe(std::uint64_t key, TtView& out) {
     out.inflight = e.inflight;
     out.visits = e.visits;
     out.generation = e.generation;
-    out.lane_inflight = lane_inflight();
     out.edges.assign(slab(base + static_cast<std::size_t>(w)),
                      slab(base + static_cast<std::size_t>(w)) + e.num_edges);
     e.generation = now;  // refresh: a grafted entry is a live one
@@ -105,7 +104,8 @@ bool TranspositionTable::announce(std::uint64_t key) {
 
 void TranspositionTable::store(std::uint64_t key, float value,
                                std::int32_t depth, const TtEdge* edges,
-                               std::int32_t count, bool release_inflight) {
+                               std::int32_t count, std::int64_t visits,
+                               bool release_inflight) {
   if (key == 0) return;
   const std::size_t b = bucket_of(key);
   std::lock_guard guard(bucket_locks_[b]);
@@ -154,15 +154,12 @@ void TranspositionTable::store(std::uint64_t key, float value,
     return;
   }
 
-  std::int64_t incoming_visits = 0;
-  for (std::int32_t i = 0; i < count; ++i) incoming_visits += edges[i].visits;
-
   if (match != nullptr) {
     if (match->num_edges == count) {
       // Same position stored twice: fold the visit mass, keep the memo
       // (deterministic evaluator ⇒ priors/value are identical anyway).
       bool same_actions = true;
-      TtEdge* stored = slab(match_idx);
+      const TtEdge* stored = slab(match_idx);
       for (std::int32_t i = 0; i < count; ++i) {
         if (stored[i].action != edges[i].action) {
           same_actions = false;
@@ -170,11 +167,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
         }
       }
       if (same_actions) {
-        for (std::int32_t i = 0; i < count; ++i) {
-          stored[i].visits += edges[i].visits;
-          stored[i].value_sum += edges[i].value_sum;
-        }
-        match->visits += incoming_visits;
+        match->visits += visits;
         match->depth = std::min(match->depth, depth);
         match->generation = generation();
         merges_.fetch_add(1, std::memory_order_relaxed);
@@ -195,7 +188,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
     match->inflight = keep_inflight;
     match->value = value;
     match->depth = depth;
-    match->visits = incoming_visits;
+    match->visits = visits;
     match->num_edges = count;
     match->generation = generation();
     std::copy(edges, edges + count, slab(match_idx));
@@ -206,7 +199,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
   std::size_t target_idx = empty_idx;
   if (target == nullptr) {
     if (victim == nullptr ||
-        victim_score >= retain_score_for_new(incoming_visits, depth)) {
+        victim_score >= retain_score_for_new(visits, depth)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -220,7 +213,7 @@ void TranspositionTable::store(std::uint64_t key, float value,
   target->key = key;
   target->value = value;
   target->depth = depth;
-  target->visits = incoming_visits;
+  target->visits = visits;
   target->num_edges = count;
   target->generation = generation();
   std::copy(edges, edges + count, slab(target_idx));
@@ -271,8 +264,7 @@ TtProbeResult tt_probe_and_graft(TranspositionTable* tt, InTreeOps& ops,
   if (tt == nullptr || key == 0) return TtProbeResult::kMiss;
   const TtProbeResult r = tt->probe(key, scratch);
   if (r == TtProbeResult::kHit) {
-    ops.expand_from_tt(node, key, scratch, tt->config().graft,
-                       tt->config().stats_blend);
+    ops.expand_from_tt(node, key, scratch);
     *value_out = scratch.value;
     obs::emit_instant("tt_graft", "mcts",
                       {{"edges", scratch.edges.size()},
@@ -293,7 +285,8 @@ void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,
   const std::int32_t count = n.num_edges;
   if (count > tt->config().max_edges || count <= 0) {
     // Let store() release the announce mark and count the skip.
-    tt->store(key, value, depth, nullptr, count, release_inflight);
+    tt->store(key, value, depth, nullptr, count, /*visits=*/0,
+              release_inflight);
     return;
   }
   TtEdge edges[64];
@@ -307,10 +300,9 @@ void tt_store_expansion(TranspositionTable* tt, SearchTree& tree, NodeId node,
     const Edge& e = tree.edge(n.first_edge + i);
     out[i].action = e.action;
     out[i].prior = e.prior;
-    out[i].visits = 0;  // fresh expansion: the archive pass folds real mass
-    out[i].value_sum = 0.0;
   }
-  tt->store(key, value, depth, out, count, release_inflight);
+  // Fresh expansion: no visit mass yet (the archive pass folds real mass).
+  tt->store(key, value, depth, out, count, /*visits=*/0, release_inflight);
 }
 
 }  // namespace apm

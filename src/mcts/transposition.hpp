@@ -43,17 +43,6 @@ namespace apm {
 
 class InTreeOps;
 
-// How a TT hit is grafted onto a freshly claimed leaf:
-//  kPriors — install the stored priors/value exactly as the cold path
-//            would have (bitwise-identical search to TT-off under a
-//            deterministic evaluator; only the encode+eval work is saved).
-//  kStats  — additionally blend the stored visit distribution into the
-//            priors and seed each visited edge with a 1-visit first-play
-//            urgency carrying the TT mean, pessimised by the entry's
-//            inflight-scaled virtual-loss mark. Shares statistics, not
-//            just evals — NOT bitwise-equivalent to a cold start.
-enum class GraftMode { kPriors, kStats };
-
 struct TtConfig {
   bool enabled = false;  // engines build a TT only when set
   // Entry count (rounded up to a whole number of buckets).
@@ -67,9 +56,6 @@ struct TtConfig {
   // 0 (default): memos never age out — replacement pressure alone recycles
   // them.
   int max_age = 0;
-  GraftMode graft = GraftMode::kPriors;
-  // kStats: weight of the visit distribution in the blended prior.
-  float stats_blend = 0.5f;
   // Label carried by the table's trace instants (tt_graft / tt_pending) —
   // the lane name for a pool-owned shared table, empty = "engine" for an
   // engine-private one. Interned at construction (trace events borrow
@@ -79,13 +65,10 @@ struct TtConfig {
 
 enum class TtProbeResult { kMiss, kHit, kPending };
 
-// One stored edge: prior at expansion plus the visit mass folded back by
-// the archive pass (zero right after a store-at-expansion).
+// One stored edge: the action and its prior at expansion.
 struct TtEdge {
   std::int32_t action = -1;
   float prior = 0.0f;
-  std::int64_t visits = 0;
-  double value_sum = 0.0;
 };
 
 // Probe output. Caller-owned so per-worker scratch avoids allocation in
@@ -94,14 +77,8 @@ struct TtView {
   float value = 0.0f;       // NN value memo at expansion
   std::int32_t depth = 0;
   std::int32_t inflight = 0;  // announced evaluations in flight elsewhere
-  std::int64_t visits = 0;    // Σ folded edge visits
+  std::int64_t visits = 0;    // visit mass folded in by the archive pass
   std::uint32_t generation = 0;
-  // The owner's lane-wide in-flight hint at probe time (see
-  // set_lane_inflight); 0 for an engine-private table. kStats grafts
-  // pessimise their seeded means by max(inflight, lane_inflight) so
-  // borrowed statistics reflect lane-level concurrency, not just the
-  // probing engine's own announcements.
-  double lane_inflight = 0.0;
   std::vector<TtEdge> edges;
 };
 
@@ -140,42 +117,27 @@ class TranspositionTable {
   bool announce(std::uint64_t key);
 
   // Stores (or merges into) `key`'s entry: `value` is the NN value memo,
-  // `edges` the per-action priors plus any visit mass to fold. A second
-  // store of the same position accumulates visits/value sums and keeps the
-  // existing priors/value memo. count > max_edges releases the announce
-  // mark but stores nothing. Thread-safe.
+  // `edges` the per-action priors, `visits` the visit mass to fold into
+  // the entry's replacement priority (0 for a store-at-expansion). A second
+  // store of the same position accumulates visits and keeps the existing
+  // priors/value memo. count > max_edges releases the announce mark but
+  // stores nothing. Thread-safe.
   void store(std::uint64_t key, float value, std::int32_t depth,
-             const TtEdge* edges, std::int32_t count, bool release_inflight);
+             const TtEdge* edges, std::int32_t count, std::int64_t visits,
+             bool release_inflight);
 
-  // Generation stamp applied to new/refreshed entries; an engine-private
-  // table's owner keeps it in lockstep with SearchTree::epoch() so
-  // advance_root() reuse ages the table without rehashing.
-  void set_generation(std::uint32_t gen) {
-    generation_.store(gen, std::memory_order_release);
-  }
-  // Lane-shared alternative: no single engine's epoch can drive a shared
-  // table's clock (engine B starting a fresh game would rewind it below
-  // engine A's live entries), so shared owners advance it monotonically —
-  // one bump per committed move / reset of ANY attached engine. With K
-  // games the clock runs ~K× faster than a private table's; generations
-  // are replacement priority only, so that just makes idle memos fade
-  // proportionally faster, never wrong. Thread-safe.
+  // The replacement clock stamped on new/refreshed entries. Every attached
+  // engine advances it by one at each of its move/reset boundaries (one
+  // bump per SearchTree epoch step). Only differences between stamps are
+  // ever read, so a private table's clock tracks its engine's epoch, and a
+  // lane-shared table's clock runs ~K× faster with K games — idle memos
+  // fade proportionally faster, never wrongly — without any engine ever
+  // rewinding another's live entries. Thread-safe.
   void bump_generation() {
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }
   std::uint32_t generation() const {
     return generation_.load(std::memory_order_acquire);
-  }
-
-  // Lane-wide in-flight hint (Σ scheme in-flight over the owning lane's
-  // live games), reported back through TtView::lane_inflight on every hit.
-  // Set by the lane owner (MatchService) whenever the lane's live producer
-  // set changes; stays 0 for engine-private tables. Thread-safe.
-  void set_lane_inflight(double inflight) {
-    lane_inflight_.store(inflight, std::memory_order_relaxed);
-  }
-  double lane_inflight() const {
-    return lane_inflight_.load(std::memory_order_relaxed);
   }
 
   // Drops every entry (weights changed / new game without carry-over).
@@ -224,7 +186,6 @@ class TranspositionTable {
   std::vector<TtEdge> payload_;
   std::unique_ptr<SpinLock[]> bucket_locks_;
   std::atomic<std::uint32_t> generation_{0};
-  std::atomic<double> lane_inflight_{0.0};
 
   mutable std::atomic<std::uint64_t> probes_{0};
   mutable std::atomic<std::uint64_t> hits_{0};
@@ -240,7 +201,7 @@ class TranspositionTable {
 // --- driver glue (shared by Serial / SharedTree / LocalTree) -------------
 
 // One probe-and-graft step for a freshly claimed leaf: on kHit the node is
-// expanded from the stored entry (per tt->config().graft) and *value_out
+// expanded from the stored entry and *value_out
 // holds the value to back up; on kMiss/kPending the evaluation is
 // announced and *announced records whether a mark was placed (pass it to
 // tt_store_expansion). tt == nullptr or key == 0 is a silent kMiss.

@@ -1,13 +1,12 @@
 #pragma once
-// Multi-model serving registry — one evaluation *lane* per named net.
+// Multi-model serving registry — one evaluation *lane* per named net, and
+// the only way a MatchService reaches an evaluator (a single-net service is
+// a one-lane pool).
 //
-// The PR-3/PR-4 serving stack shares ONE AsyncBatchEvaluator (and one
-// EvalCache) across every game the MatchService runs, which works exactly
-// as long as every game evaluates on the same network. A real serving
-// front end hosts many nets at once — different games, different training
-// generations, A/B pairs — and a request for net X must never be answered
-// from net Y's batch or cache. The EvaluatorPool is that registry: each
-// registered model owns a private lane of
+// A real serving front end hosts many nets at once — different games,
+// different training generations, A/B pairs — and a request for net X must
+// never be answered from net Y's batch or cache. The EvaluatorPool is that
+// registry: each registered model owns a private lane of
 //
 //     InferenceBackend  (caller-owned: the net / sim-GPU that computes)
 //       └ EvalCache     (per-net — the cache-keying caveat from ROADMAP:
@@ -32,21 +31,21 @@
 // test_shared_tt). Callers that cannot name the updated model fall back to
 // invalidate_all().
 //
-// Lane-shared transposition table (ISSUE 9): a lane may additionally own
+// Lane-shared transposition table: a lane may additionally own
 // one TranspositionTable (ModelSpec::tt.enabled), sized per lane and
 // handed by the MatchService to EVERY SearchEngine its slots build for
 // this lane — K concurrent games of the same net dedupe *expansions*
 // across games exactly as the lane EvalCache dedupes NN calls, one layer
 // deeper (a graft skips encode + queue + inference, not just inference).
-// Lifecycle is lane-owned: engines never clear the shared table or write
-// absolute epochs into its generation clock (they only bump it — see
-// SearchResources::tt_shared); invalidate(id) clears it with the lane's
-// cache because both memoise the lane's weights. TT entries are position
-// memos of a deterministic evaluator, so cross-game residency is sound
-// (the same argument as tt_keep_across_games, made structural), and under
-// GraftMode::kPriors per-game results remain a pure function of the game
-// seed — independent of worker count, of sharing, and of which sibling
-// game warmed the table (pinned by test_shared_tt and bench/fig_cache).
+// Lifecycle is lane-owned: engines never clear a table they were handed
+// and only ever bump its generation clock; invalidate(id) clears it with
+// the lane's cache because both memoise the lane's weights. TT entries are
+// position memos of a deterministic evaluator, and a graft installs exactly
+// the priors a cold expansion would, so cross-game residency is sound (the
+// same argument as tt_keep_across_games, made structural) and per-game
+// results remain a pure function of the game seed — independent of worker
+// count, of sharing, and of which sibling game warmed the table (pinned by
+// test_shared_tt and bench/fig_cache).
 //
 // Per-lane precision contract: precision is a property of the LANE, not of
 // the serving plane — declared at registration (ModelSpec::precision) and
@@ -59,8 +58,8 @@
 // flows into its thresholds automatically. Registering the same logical
 // net twice at different precisions (e.g. "net" and "net-int8") yields two
 // fully isolated lanes — separate queues, caches, thresholds — which is
-// exactly what the match-play precision gate (serve/precision_gate.hpp)
-// races against each other.
+// exactly what a match gate (serve/match_gate.hpp) races against each
+// other to admit the quantized lane.
 //
 // invalidate(id) semantics are precision-INDEPENDENT: it clears the lane's
 // cache because the lane's weights changed, whatever arithmetic the lane
@@ -73,7 +72,7 @@
 // aggregate_controller.hpp) re-tunes each lane's threshold independently
 // from that lane's measured arrival rate. Per-game engines never manage a
 // pooled queue's threshold (MatchService forces manage_batch_threshold
-// off, as with the PR-3 shared queue).
+// off).
 //
 // Thread safety: registration is single-threaded setup (add_model before
 // any service attaches); the lane accessors are const after that and the
@@ -108,13 +107,13 @@ struct ModelSpec {
   // tt.enabled builds the lane's shared TranspositionTable (header note).
   // tt.name is overwritten with the lane name so the table's trace
   // instants (tt_graft / tt_pending) carry it.
-  TtConfig tt;
+  TtConfig tt = {};
   // Latency objective for this lane's REQUEST latency (submit -> future
   // ready, the queue's request histogram). When enabled, the MatchService
   // owning this lane evaluates it every publish_metrics() window and
   // exports "service.<name>.health" (ISSUE 10). Declarative like
   // precision: the pool stores it, the service enforces it.
-  obs::SloSpec slo;
+  obs::SloSpec slo = {};
 };
 
 // Point-in-time telemetry of one lane.

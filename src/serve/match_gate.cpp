@@ -23,14 +23,8 @@ int play_game(const Game& opening, const GateSide& first,
   EngineConfig ec_second = second.engine;
   ec_second.mcts.seed = second_seed;
 
-  SearchResources res_first;
-  res_first.batch = first.queue;
-  res_first.evaluator = first.evaluator;
-  SearchResources res_second;
-  res_second.batch = second.queue;
-  res_second.evaluator = second.evaluator;
-  SearchEngine eng_first(ec_first, res_first);
-  SearchEngine eng_second(ec_second, res_second);
+  SearchEngine eng_first(ec_first, {.batch = first.queue});
+  SearchEngine eng_second(ec_second, {.batch = second.queue});
 
   int moves = 0;
   while (!env->is_terminal() && (max_moves <= 0 || moves < max_moves)) {
@@ -54,15 +48,13 @@ MatchGateReport run_match_gate(const Game& proto, GateSide candidate,
                                const MatchGateConfig& cfg) {
   APM_CHECK(cfg.games >= 1);
   APM_CHECK(cfg.opening_moves >= 0);
-  APM_CHECK_MSG((candidate.queue != nullptr) != (candidate.evaluator != nullptr),
-                "match gate: candidate needs exactly one eval resource");
-  APM_CHECK_MSG((baseline.queue != nullptr) != (baseline.evaluator != nullptr),
-                "match gate: baseline needs exactly one eval resource");
+  APM_CHECK_MSG(candidate.queue != nullptr, "match gate: candidate queue");
+  APM_CHECK_MSG(baseline.queue != nullptr, "match gate: baseline queue");
 
   const int pairs = (cfg.games + 1) / 2;
 
   // Pool/shared queues are owner-tuned; gate engines must not fight over
-  // them. Harmless on a private evaluator.
+  // them.
   candidate.engine.manage_batch_threshold = false;
   baseline.engine.manage_batch_threshold = false;
 

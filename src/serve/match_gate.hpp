@@ -1,17 +1,14 @@
 #pragma once
-// Generic color-swap-paired match gate — the evidence protocol behind every
-// "does this change alter play?" question in the serving stack.
+// Color-swap-paired match gate — the evidence protocol behind every "does
+// this change alter play?" question in the serving stack: race two
+// configurations head to head in color-swapped pairs with shared per-pair
+// openings, score the candidate as (wins + draws/2) / games, and pass it
+// only within a configured band of parity. The same experiment admits a
+// quantized lane (candidate = int8 lane, baseline = its fp32 source, same
+// engine template) or settles any other A/B over engines or lanes; each
+// side is a GateSide, so no per-question adapter is needed.
 //
-// The precision gate (serve/precision_gate.hpp) established the protocol
-// for quantized lanes: race two configurations head to head in color-
-// swapped pairs with shared per-pair openings, score the candidate as
-// (wins + draws/2) / games, and pass it only within a configured band of
-// parity. The protocol is not precision-specific — the same experiment
-// answers "is GraftMode::kStats play-neutral?" (serve/graft_gate.hpp) or
-// any future A/B over engines — so it lives here once, parameterised by
-// two GateSides, and the specific gates are thin adapters.
-//
-// Protocol (exactly the precision gate's, pinned by its tests):
+// Protocol (pinned by test_quant_lane):
 //  * cfg.games rounds UP to whole pairs; both games of pair p start from
 //    the same random opening drawn from Rng(cfg.seed + p * odd-constant),
 //    cfg.opening_moves plies deep (a terminal opening skips the pair).
@@ -28,26 +25,28 @@
 // Pass rule: candidate_score >= 0.5 − cfg.max_winrate_drop. A play-neutral
 // candidate scores ≈ 0.5 by symmetry; a change that actually shifts play
 // collapses the score long before a human reads the games.
+//
+// The gate runs on the caller's thread against live queues (register pool
+// lanes with batch_threshold 1 for a synchronous single-producer gate — a
+// serial engine submitting leaf-at-a-time to a threshold-B queue would
+// otherwise pace on the stale-flush timer).
 
 #include <cstdint>
 #include <string>
 
 #include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "games/game.hpp"
 #include "mcts/engine.hpp"
 
 namespace apm {
 
-// One contender: an engine template plus the evaluation resource its
-// engines submit to. Exactly one of `queue` / `evaluator` must be set.
-// Side-specific search memory (e.g. a private TT with a candidate graft
-// mode) is declared through `engine.tt` like any other engine option.
+// One contender: an engine template plus the queue its engines submit to
+// (e.g. an EvaluatorPool lane's). Side-specific search memory is declared
+// through `engine.tt` like any other engine option.
 struct GateSide {
   std::string label;
   EngineConfig engine;
   AsyncBatchEvaluator* queue = nullptr;
-  Evaluator* evaluator = nullptr;
 };
 
 struct MatchGateConfig {

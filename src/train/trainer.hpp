@@ -6,7 +6,7 @@
 //
 // Episode generation runs through the MatchService: waves of concurrent
 // games, each on its own adaptive SearchEngine (tree reuse + runtime
-// scheme switching), all sharing one evaluation resource so batches form
+// scheme switching), all sharing the net's pool lane so batches form
 // across games. SGD runs between waves — inference reads the weights, so
 // updates must never overlap a running search.
 
@@ -27,10 +27,10 @@ struct TrainerConfig {
   SgdConfig sgd;
   std::uint64_t seed = 17;
   // The EvaluatorPool model this trainer's net backs. A weight update makes
-  // exactly that model's cached policies stale, so run() invalidates only
-  // its cache between waves (other models' residency and hit rates survive
-  // — the per-model invalidation contract of serve/evaluator_pool.hpp).
-  // −1 = unknown/legacy: clear every cache attached to the service.
+  // exactly that model's cached policies and TT memos stale, so run()
+  // invalidates only its lane between waves (other models' residency and
+  // hit rates survive — the per-model invalidation contract of
+  // serve/evaluator_pool.hpp). −1 = unknown: invalidate every lane.
   int model_id = -1;
 };
 
@@ -59,10 +59,10 @@ class Trainer {
   // Full Algorithm-1 loop, routed through the concurrent match service:
   // `episodes` self-play games are generated in waves of up to
   // service.slots() concurrent games (the service owns the per-game
-  // adaptive engines and the shared evaluator), then each completed
-  // episode's samples get cfg.sgd_iters_per_move × moves SGD iterations —
-  // one LossPoint per episode, as before. The service must be freshly
-  // constructed over the evaluator that reads this trainer's net; the
+  // adaptive engines and routes them to the net's lane), then each
+  // completed episode's samples get cfg.sgd_iters_per_move × moves SGD
+  // iterations — one LossPoint per episode. The service must be freshly
+  // constructed over a pool whose lane reads this trainer's net; the
   // trainer starts it and leaves it drained (caller stops it).
   std::vector<LossPoint> run(MatchService& service, int episodes,
                              const std::function<void(const LossPoint&)>&

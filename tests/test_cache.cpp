@@ -401,30 +401,45 @@ struct ServiceRun {
   std::size_t backend_samples = 0;
 };
 
-// Plays `games` Connect4 games on a deterministic serial-engine service
-// (fixed seeds, adaptation off), optionally with an eval cache in front of
-// the shared queue.
+// Serial-engine Connect4 workload on pool lane "net" (fixed seeds,
+// adaptation off, so per-game results are a function of the game id).
+ServiceWorkload connect4_workload(const Game& game, int playouts) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = 4;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
+}
+
+// Plays `games` Connect4 games on a deterministic 4-slot service over one
+// pool lane (threshold pinned at 4), optionally with an eval cache in front
+// of the lane queue.
 ServiceRun run_service(int games, bool cached) {
   const Connect4 game;
   SyntheticEvaluator eval(game.action_count(), game.encode_size());
   SimGpuBackend sim(eval, GpuTimingModel{});
   CountingBackend backend(sim);
-  EvalCache cache({.capacity = 1 << 12, .shards = 8, .ways = 4});
-  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/4, /*num_streams=*/2,
-                            /*stale_flush_us=*/800.0);
-  if (cached) queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model({.name = "net",
+                  .backend = &backend,
+                  .batch_threshold = 4,
+                  .num_streams = 2,
+                  .stale_flush_us = 800.0,
+                  .cache = cached,
+                  .cache_cfg = {.capacity = 1 << 12, .shards = 8, .ways = 4}});
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 24;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
   sc.workers = 4;
-  sc.self_play.max_moves = 20;
+  sc.aggregate.enabled = false;
+  ServiceWorkload w = connect4_workload(game, 24);
+  w.self_play.max_moves = 20;
 
   ServiceRun run;
   {
-    MatchService service(sc, game, {.batch = &queue});
+    MatchService service(sc, pool, {w});
     service.enqueue(games);
     service.start();
     service.drain();
@@ -473,18 +488,18 @@ TEST(CachedService, StopMidGameWithCacheDoesNotDeadlock) {
   SyntheticEvaluator eval(game.action_count(), game.encode_size(),
                           /*latency_us=*/50.0);
   SimGpuBackend sim(eval, GpuTimingModel{});
-  EvalCache cache({.capacity = 1 << 10, .shards = 4, .ways = 4});
-  AsyncBatchEvaluator queue(sim, 4, 2, /*stale_flush_us=*/800.0);
-  queue.set_cache(&cache);
+  EvaluatorPool pool;
+  pool.add_model({.name = "net",
+                  .backend = &sim,
+                  .batch_threshold = 4,
+                  .num_streams = 2,
+                  .stale_flush_us = 800.0,
+                  .cache_cfg = {.capacity = 1 << 10, .shards = 4, .ways = 4}});
 
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = 48;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 4;
   sc.workers = 4;
-
-  MatchService service(sc, game, {.batch = &queue});
+  sc.aggregate.enabled = false;
+  MatchService service(sc, pool, {connect4_workload(game, 48)});
   service.enqueue(64);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "mcts/factory.hpp"
@@ -25,6 +26,36 @@ MctsConfig small_search(int playouts) {
   cfg.seed = 5;
   return cfg;
 }
+
+// A trainer's episode source: its net's evaluator behind a CpuBackend on a
+// one-lane pool (threshold 1, no cache, threshold pinned), two concurrent
+// games of `game` on the engine template `engine`.
+struct TrainerService {
+  TrainerService(const Game& game, NetEvaluator& eval,
+                 const EngineConfig& engine,
+                 const SelfPlayConfig& self_play = {})
+      : backend(eval) {
+    pool.add_model({.name = "net",
+                    .backend = &backend,
+                    .batch_threshold = 1,
+                    .cache = false});
+    ServiceConfig sc;
+    sc.workers = 2;
+    sc.aggregate.enabled = false;
+    ServiceWorkload w;
+    w.proto = std::shared_ptr<const Game>(game.clone());
+    w.model = "net";
+    w.slots = 2;
+    w.engine = engine;
+    w.self_play = self_play;
+    service = std::make_unique<MatchService>(sc, pool,
+                                             std::vector<ServiceWorkload>{w});
+  }
+
+  CpuBackend backend;
+  EvaluatorPool pool;
+  std::unique_ptr<MatchService> service;
+};
 
 TEST(SelfPlay, EpisodeLabelsFollowOutcome) {
   Gomoku g = make_tictactoe();
@@ -84,17 +115,16 @@ TEST(Trainer, LossDecreasesOverPipelineRun) {
   Trainer trainer(net, tc, 4096);
 
   // Trainer::run generates episodes through the concurrent match service
-  // (two serial-engine games at a time over the shared evaluator).
-  ServiceConfig sc;
-  sc.engine.mcts = small_search(40);
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = 2;
-  sc.workers = 2;
-  sc.self_play.temperature_moves = 3;
-  sc.self_play.augment = true;
-  MatchService service(sc, game, {.evaluator = &eval});
-  const auto curve = trainer.run(service, /*episodes=*/8);
+  // (two serial-engine games at a time over the net's lane).
+  EngineConfig ec;
+  ec.mcts = small_search(40);
+  ec.scheme = Scheme::kSerial;
+  ec.adapt = false;
+  SelfPlayConfig sp;
+  sp.temperature_moves = 3;
+  sp.augment = true;
+  TrainerService ts(game, eval, ec, sp);
+  const auto curve = trainer.run(*ts.service, /*episodes=*/8);
   ASSERT_EQ(curve.size(), 8u);
   for (const auto& point : curve) {
     EXPECT_TRUE(std::isfinite(point.loss));
@@ -118,15 +148,13 @@ TEST(Trainer, ParallelSearchFeedsSamePipeline) {
   tc.batch_size = 8;
   Trainer trainer(net, tc, 1024);
 
-  ServiceConfig sc;
-  sc.engine.mcts = small_search(32);
-  sc.engine.scheme = Scheme::kLocalTree;
-  sc.engine.workers = 4;
-  sc.engine.adapt = false;
-  sc.slots = 2;
-  sc.workers = 2;
-  MatchService service(sc, game, {.evaluator = &eval});
-  const auto curve = trainer.run(service, 2);
+  EngineConfig ec;
+  ec.mcts = small_search(32);
+  ec.scheme = Scheme::kLocalTree;
+  ec.workers = 4;
+  ec.adapt = false;
+  TrainerService ts(game, eval, ec);
+  const auto curve = trainer.run(*ts.service, 2);
   EXPECT_EQ(curve.size(), 2u);
   EXPECT_GT(trainer.buffer().size(), 0u);
 }
@@ -179,14 +207,12 @@ TEST(Checkpointing, TrainedNetSurvivesSaveLoadWithSameSearchBehaviour) {
     tc.sgd_iters_per_move = 2;
     tc.batch_size = 8;
     Trainer trainer(net, tc, 512);
-    ServiceConfig sc;
-    sc.engine.mcts = small_search(24);
-    sc.engine.scheme = Scheme::kSerial;
-    sc.engine.adapt = false;
-    sc.slots = 2;
-    sc.workers = 2;
-    MatchService service(sc, game, {.evaluator = &eval});
-    trainer.run(service, 2);
+    EngineConfig ec;
+    ec.mcts = small_search(24);
+    ec.scheme = Scheme::kSerial;
+    ec.adapt = false;
+    TrainerService ts(game, eval, ec);
+    trainer.run(*ts.service, 2);
   }
 
   std::stringstream stream;

@@ -1,6 +1,6 @@
 // Serving-plane tests for quantized inference lanes: mixed-precision lane
-// registration and telemetry in the EvaluatorPool, the match-play
-// precision gate (fp32 vs int8 lanes of the same net), the MatchService's
+// registration and telemetry in the EvaluatorPool, the match-play gate
+// admitting an int8 lane against its fp32 source, the MatchService's
 // live per-game in-flight accounting, and mixed-precision workloads
 // draining through one service.
 //
@@ -16,8 +16,8 @@
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "nn/quantize.hpp"
+#include "serve/match_gate.hpp"
 #include "serve/match_service.hpp"
-#include "serve/precision_gate.hpp"
 
 namespace apm {
 namespace {
@@ -70,43 +70,52 @@ TEST(EvaluatorPoolPrecision, LanesDeclareAndReportPrecision) {
   EXPECT_NE(pool.find("net"), pool.find("net-int8"));
 }
 
-TEST(PrecisionGate, Int8LaneMatchesFp32AtTicTacToe) {
+TEST(MatchGate, Int8LaneMatchesFp32AtTicTacToe) {
   const Gomoku game = make_tictactoe();
   QuantRig rig(3, 123);
   EvaluatorPool pool;
   // Threshold-1 lanes: the gate is a synchronous single producer per lane
-  // (see the precision_gate header note).
-  pool.add_model(
+  // (see the match_gate header note).
+  const int id_f = pool.add_model(
       {.name = "fp32", .backend = &rig.fp32_backend, .batch_threshold = 1});
-  pool.add_model({.name = "int8",
-                  .backend = &rig.int8_backend,
-                  .batch_threshold = 1,
-                  .precision = Precision::kInt8});
+  const int id_q = pool.add_model({.name = "int8",
+                                   .backend = &rig.int8_backend,
+                                   .batch_threshold = 1,
+                                   .precision = Precision::kInt8});
 
-  PrecisionGateConfig cfg;
-  cfg.baseline_model = "fp32";
-  cfg.candidate_model = "int8";
+  // Identical search settings on both sides; only the evaluation lane
+  // differs.
+  const GateSide candidate{.label = "int8",
+                           .engine = serial_engine(96),
+                           .queue = &pool.queue(id_q)};
+  const GateSide baseline{.label = "fp32",
+                          .engine = serial_engine(96),
+                          .queue = &pool.queue(id_f)};
+  MatchGateConfig cfg;
   cfg.games = 4;
   cfg.opening_moves = 2;
-  cfg.engine = serial_engine(96);
   cfg.seed = 2024;
   // 96-playout MCTS plays tic-tac-toe (near-)perfectly from any 2-ply
   // opening; color-swapped pairs cancel decided openings, so an int8 net
   // that matches its fp32 source scores ~0.5.
   cfg.max_winrate_drop = 0.3;
 
-  const PrecisionGateReport rep = run_precision_gate(pool, game, cfg);
-  EXPECT_EQ(rep.baseline_precision, Precision::kFp32);
-  EXPECT_EQ(rep.candidate_precision, Precision::kInt8);
-  EXPECT_EQ(rep.games,
-            rep.candidate_wins + rep.candidate_losses + rep.draws);
-  EXPECT_GE(rep.games, 2);
+  const MatchGateReport rep = run_match_gate(game, candidate, baseline, cfg);
+  EXPECT_EQ(rep.candidate, "int8");
+  EXPECT_EQ(rep.baseline, "fp32");
+  // The exact record of this configuration: pins the gate protocol (seat
+  // seeds, shared openings, colour swap) bit for bit.
+  EXPECT_EQ(rep.games, 4);
+  EXPECT_EQ(rep.candidate_wins, 1);
+  EXPECT_EQ(rep.candidate_losses, 1);
+  EXPECT_EQ(rep.draws, 2);
+  EXPECT_DOUBLE_EQ(rep.candidate_score, 0.5);
   EXPECT_TRUE(rep.pass) << "int8 score " << rep.candidate_score << " over "
                         << rep.games << " games";
 
   // The gate is a pure function of (nets, proto, cfg): a rerun reproduces
   // the exact report — evidence, not a coin flip.
-  const PrecisionGateReport again = run_precision_gate(pool, game, cfg);
+  const MatchGateReport again = run_match_gate(game, candidate, baseline, cfg);
   EXPECT_EQ(again.candidate_wins, rep.candidate_wins);
   EXPECT_EQ(again.candidate_losses, rep.candidate_losses);
   EXPECT_EQ(again.draws, rep.draws);

@@ -1,4 +1,4 @@
-// MatchService tests: K concurrent games over one shared AsyncBatchEvaluator
+// MatchService tests: K concurrent games over one shared pool lane
 // complete and aggregate correctly; per-game results are independent of the
 // worker count (fixed seeds); cross-game batch formation beats the starved
 // single-game producer at the same threshold (the ISSUE-3 acceptance
@@ -22,36 +22,51 @@ namespace apm {
 namespace {
 
 // Deterministic results (hash of the input state), zero compute: per-game
-// move sequences depend only on seeds, never on batch composition.
+// move sequences depend only on seeds, never on batch composition. One
+// uncached pool lane "net" whose threshold stays pinned (services built by
+// pinned_config run no aggregate controller).
 struct BatchRig {
   BatchRig(const Game& g, int threshold, int streams, double stale_us,
            double latency_us = 0.0)
       : eval(g.action_count(), g.encode_size(), latency_us),
-        backend(eval, GpuTimingModel{}),
-        queue(backend, threshold, streams, stale_us) {}
+        backend(eval, GpuTimingModel{}) {
+    pool.add_model({.name = "net",
+                    .backend = &backend,
+                    .batch_threshold = threshold,
+                    .num_streams = streams,
+                    .stale_flush_us = stale_us,
+                    .cache = false});
+  }
 
   SyntheticEvaluator eval;
   SimGpuBackend backend;
-  AsyncBatchEvaluator queue;
+  EvaluatorPool pool;
 };
 
-ServiceConfig serial_service(int playouts, int slots, int workers) {
+ServiceConfig pinned_config(int workers) {
   ServiceConfig sc;
-  sc.engine.mcts.num_playouts = playouts;
-  sc.engine.scheme = Scheme::kSerial;
-  sc.engine.adapt = false;
-  sc.slots = slots;
   sc.workers = workers;
+  sc.aggregate.enabled = false;
   return sc;
+}
+
+ServiceWorkload serial_workload(const Game& game, int playouts, int slots) {
+  ServiceWorkload w;
+  w.proto = std::shared_ptr<const Game>(game.clone());
+  w.model = "net";
+  w.slots = slots;
+  w.engine.mcts.num_playouts = playouts;
+  w.engine.scheme = Scheme::kSerial;
+  w.engine.adapt = false;
+  return w;
 }
 
 TEST(MatchService, ConcurrentGamesCompleteOnSharedBatchQueue) {
   const Gomoku game = make_tictactoe();
   BatchRig rig(game, /*threshold=*/3, /*streams=*/2, /*stale_us=*/300.0);
 
-  MatchService service(serial_service(/*playouts=*/24, /*slots=*/4,
-                                      /*workers=*/4),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_config(/*workers=*/4), rig.pool,
+                       {serial_workload(game, /*playouts=*/24, /*slots=*/4)});
   service.enqueue(8);
   service.start();
   service.drain();
@@ -100,9 +115,8 @@ TEST(MatchService, ResultsIndependentOfWorkerCount) {
 
   const auto play = [&](int workers) {
     BatchRig rig(game, /*threshold=*/3, /*streams=*/1, /*stale_us=*/200.0);
-    MatchService service(serial_service(/*playouts=*/20, /*slots=*/3,
-                                        workers),
-                         game, {.batch = &rig.queue});
+    MatchService service(pinned_config(workers), rig.pool,
+                         {serial_workload(game, /*playouts=*/20, /*slots=*/3)});
     service.enqueue(6);
     service.start();
     service.drain();
@@ -137,9 +151,9 @@ TEST(MatchService, CrossGameBatchFillBeatsSingleGame) {
 
   const auto mean_fill = [&](int concurrent_games) {
     BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/2000.0);
-    MatchService service(serial_service(/*playouts=*/48, concurrent_games,
-                                        concurrent_games),
-                         game, {.batch = &rig.queue});
+    MatchService service(
+        pinned_config(concurrent_games), rig.pool,
+        {serial_workload(game, /*playouts=*/48, concurrent_games)});
     service.enqueue(concurrent_games);
     service.start();
     service.drain();
@@ -164,9 +178,8 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   BatchRig rig(game, /*threshold=*/4, /*streams=*/1, /*stale_us=*/200.0,
                /*latency_us=*/50.0);
 
-  MatchService service(serial_service(/*playouts=*/400, /*slots=*/2,
-                                      /*workers=*/2),
-                       game, {.batch = &rig.queue});
+  MatchService service(pinned_config(/*workers=*/2), rig.pool,
+                       {serial_workload(game, /*playouts=*/400, /*slots=*/2)});
   service.enqueue(4);
   service.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -183,8 +196,8 @@ TEST(MatchService, StopMidGameLeavesNoStuckThreads) {
   // stop() is idempotent and safe to race (second call waits, no re-join).
   service.stop();
   // The shared queue stays serviceable after the shutdown.
-  rig.queue.drain();
-  const BatchQueueStats qs = rig.queue.stats();
+  rig.pool.queue(0).drain();
+  const BatchQueueStats qs = rig.pool.queue(0).stats();
   EXPECT_GT(qs.submitted, 0u);
 }
 

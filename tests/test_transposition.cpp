@@ -1,10 +1,11 @@
 // Transposition-table tests (ISSUE 7): unit behaviour of the bucketed TT
 // (round trips, announce/pending coalescing, merge folding, replacement
 // scoring, generation aging, inflight pinning), graft-vs-cold-start search
-// equivalence on Connect4 under GraftMode::kPriors, driver coverage for the
+// equivalence on Connect4, driver coverage for the
 // LocalTree batched-probe path, a SharedTree contended stress run over a
 // deliberately tiny table (the TSan target), and the SearchEngine glue:
-// archive-on-advance, epoch/generation lockstep, background-compaction
+// archive-on-advance, the generation clock ticking with the epoch,
+// background-compaction
 // determinism, and reset_game() carry-over policy.
 
 #include <gtest/gtest.h>
@@ -31,14 +32,16 @@ TtConfig table_config(std::size_t capacity, int ways, int max_edges = 8) {
   return cfg;
 }
 
-TtEdge make_edge(int action, float prior, std::int64_t visits = 0,
-                 double value_sum = 0.0) {
+TtEdge make_edge(int action, float prior) {
   TtEdge e;
   e.action = action;
   e.prior = prior;
-  e.visits = visits;
-  e.value_sum = value_sum;
   return e;
+}
+
+// Advances the table's replacement clock by `generations` epochs.
+void age(TranspositionTable& tt, int generations) {
+  for (int i = 0; i < generations; ++i) tt.bump_generation();
 }
 
 // --- unit behaviour ------------------------------------------------------
@@ -46,7 +49,7 @@ TtEdge make_edge(int action, float prior, std::int64_t visits = 0,
 TEST(TranspositionTable, StoreThenProbeRoundTrips) {
   TranspositionTable tt(table_config(64, 4));
   const TtEdge edges[2] = {make_edge(0, 0.25f), make_edge(3, 0.75f)};
-  tt.store(0xABCD1234ULL, 0.5f, 3, edges, 2, false);
+  tt.store(0xABCD1234ULL, 0.5f, 3, edges, 2, 0, false);
 
   TtView v;
   ASSERT_EQ(tt.probe(0xABCD1234ULL, v), TtProbeResult::kHit);
@@ -79,7 +82,7 @@ TEST(TranspositionTable, AnnounceMakesConcurrentProbesPending) {
   EXPECT_EQ(tt.probe(key, v), TtProbeResult::kPending);
 
   const TtEdge edges[1] = {make_edge(2, 1.0f)};
-  tt.store(key, -0.25f, 1, edges, 1, /*release_inflight=*/true);
+  tt.store(key, -0.25f, 1, edges, 1, 0, /*release_inflight=*/true);
   ASSERT_EQ(tt.probe(key, v), TtProbeResult::kHit);
   EXPECT_EQ(v.inflight, 0);
   EXPECT_FLOAT_EQ(v.value, -0.25f);
@@ -90,13 +93,12 @@ TEST(TranspositionTable, SecondStoreOfSamePositionMergesVisitMass) {
   TranspositionTable tt(table_config(64, 4));
   const std::uint64_t key = 0xBEEFULL;
   const TtEdge first[2] = {make_edge(1, 0.6f), make_edge(4, 0.4f)};
-  tt.store(key, 0.1f, 2, first, 2, false);
+  tt.store(key, 0.1f, 2, first, 2, 0, false);
 
   // The archive pass re-stores the same position with live visit mass; the
   // memo (priors/value) is kept, the mass folds in.
-  const TtEdge again[2] = {make_edge(1, 0.9f, 5, 2.5),
-                           make_edge(4, 0.1f, 3, -1.0)};
-  tt.store(key, 0.9f, 1, again, 2, false);
+  const TtEdge again[2] = {make_edge(1, 0.9f), make_edge(4, 0.1f)};
+  tt.store(key, 0.9f, 1, again, 2, /*visits=*/8, false);
 
   TtView v;
   ASSERT_EQ(tt.probe(key, v), TtProbeResult::kHit);
@@ -105,9 +107,7 @@ TEST(TranspositionTable, SecondStoreOfSamePositionMergesVisitMass) {
   EXPECT_EQ(v.depth, 1);  // min depth wins
   ASSERT_EQ(v.edges.size(), 2u);
   EXPECT_FLOAT_EQ(v.edges[0].prior, 0.6f);
-  EXPECT_EQ(v.edges[0].visits, 5);
-  EXPECT_DOUBLE_EQ(v.edges[0].value_sum, 2.5);
-  EXPECT_EQ(v.edges[1].visits, 3);
+  EXPECT_FLOAT_EQ(v.edges[1].prior, 0.4f);
   EXPECT_EQ(tt.stats().merges, 1u);
   EXPECT_EQ(tt.stats().entries, 1u);
 }
@@ -121,7 +121,7 @@ TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
   // released, and the dead placeholder's way is freed.
   std::vector<TtEdge> edges;
   for (int a = 0; a < 5; ++a) edges.push_back(make_edge(a, 0.2f));
-  tt.store(key, 0.0f, 0, edges.data(), 5, /*release_inflight=*/true);
+  tt.store(key, 0.0f, 0, edges.data(), 5, 0, /*release_inflight=*/true);
 
   TtView v;
   EXPECT_EQ(tt.probe(key, v), TtProbeResult::kMiss);
@@ -132,21 +132,20 @@ TEST(TranspositionTable, OversizedFanoutIsSkippedAndFreesPlaceholder) {
 TEST(TranspositionTable, ReplacementEvictsLowestRetainScoreAfterAging) {
   // capacity == ways ⇒ a single bucket: every key contends for 4 ways.
   TranspositionTable tt(table_config(4, 4));
-  const TtEdge e9[1] = {make_edge(0, 1.0f, 9, 0.0)};
-  const TtEdge e0[1] = {make_edge(0, 1.0f, 0, 0.0)};
-  tt.store(101, 0.0f, 2, e9, 1, false);
-  tt.store(202, 0.0f, 2, e9, 1, false);
-  tt.store(303, 0.0f, 2, e9, 1, false);
-  tt.store(404, 0.0f, 2, e0, 1, false);  // lowest visit mass → the victim
+  const TtEdge e[1] = {make_edge(0, 1.0f)};
+  tt.store(101, 0.0f, 2, e, 1, 9, false);
+  tt.store(202, 0.0f, 2, e, 1, 9, false);
+  tt.store(303, 0.0f, 2, e, 1, 9, false);
+  tt.store(404, 0.0f, 2, e, 1, 0, false);  // lowest visit mass → the victim
 
   // Fresh entries outscore nothing yet; a new store is dropped.
-  tt.store(505, 0.0f, 2, e0, 1, false);
+  tt.store(505, 0.0f, 2, e, 1, 0, false);
   EXPECT_EQ(tt.stats().dropped, 1u);
 
   // Four compaction epochs later the stale mass has decayed and a fresh
   // store evicts exactly the weakest way.
-  tt.set_generation(4);
-  tt.store(606, 0.0f, 2, e0, 1, false);
+  age(tt, 4);
+  tt.store(606, 0.0f, 2, e, 1, 0, false);
   EXPECT_EQ(tt.stats().replacements, 1u);
 
   TtView v;
@@ -164,9 +163,9 @@ TEST(TranspositionTable, NeverEvictsInflightEntries) {
 
   // Bucket full of announced placeholders: a store of a fifth key finds no
   // admissible victim and is dropped rather than stomping pending work.
-  const TtEdge e[1] = {make_edge(0, 1.0f, 100, 0.0)};
-  tt.set_generation(10);  // even heavy aging never exposes inflight ways
-  tt.store(55, 0.0f, 0, e, 1, false);
+  const TtEdge e[1] = {make_edge(0, 1.0f)};
+  age(tt, 10);  // even heavy aging never exposes inflight ways
+  tt.store(55, 0.0f, 0, e, 1, 100, false);
   EXPECT_EQ(tt.stats().dropped, 1u);
 
   TtView v;
@@ -179,14 +178,14 @@ TEST(TranspositionTable, MaxAgeTreatsStaleEntriesAsMisses) {
   cfg.max_age = 2;
   TranspositionTable tt(cfg);
   const TtEdge e[1] = {make_edge(0, 1.0f)};
-  tt.store(0xAAAULL, 0.0f, 0, e, 1, false);
+  tt.store(0xAAAULL, 0.0f, 0, e, 1, 0, false);
 
   TtView v;
-  tt.set_generation(2);  // age 2 == max_age: still live (and refreshed)
+  age(tt, 2);  // age 2 == max_age: still live (and refreshed)
   EXPECT_EQ(tt.probe(0xAAAULL, v), TtProbeResult::kHit);
 
-  tt.store(0xBBBULL, 0.0f, 0, e, 1, false);
-  tt.set_generation(5);  // age 3 > max_age: aged out
+  tt.store(0xBBBULL, 0.0f, 0, e, 1, 0, false);
+  age(tt, 3);  // age 3 > max_age: aged out
   EXPECT_EQ(tt.probe(0xBBBULL, v), TtProbeResult::kMiss);
   // 0xAAA was refreshed to generation 2 by its hit — age 3 now, also out.
   EXPECT_EQ(tt.probe(0xAAAULL, v), TtProbeResult::kMiss);
@@ -195,7 +194,7 @@ TEST(TranspositionTable, MaxAgeTreatsStaleEntriesAsMisses) {
 TEST(TranspositionTable, ClearDropsEntriesButKeepsCounters) {
   TranspositionTable tt(table_config(64, 4));
   const TtEdge e[1] = {make_edge(0, 1.0f)};
-  tt.store(7, 0.0f, 0, e, 1, false);
+  tt.store(7, 0.0f, 0, e, 1, 0, false);
   tt.clear();
   TtView v;
   EXPECT_EQ(tt.probe(7, v), TtProbeResult::kMiss);
@@ -240,9 +239,9 @@ TEST(TtGraft, PriorsGraftIsBitwiseEquivalentToColdStart) {
   EXPECT_EQ(r1.best_action, r_cold.best_action);
   EXPECT_GT(r1.metrics.tt_stores, 0u);
 
-  // Second pass over a cold tree but a hot table: under kPriors every
-  // graft reproduces exactly what the evaluator would have produced, so
-  // the search is bitwise-identical while skipping the backend entirely.
+  // Second pass over a cold tree but a hot table: every graft reproduces
+  // exactly what the evaluator would have produced, so the search is
+  // bitwise-identical while skipping the backend entirely.
   auto warm2 = make_search(Scheme::kSerial, cfg, 1,
                            {.evaluator = &eval, .tt = &tt});
   const SearchResult r2 = warm2->search(g);
@@ -331,15 +330,23 @@ EngineConfig tt_engine_config(int playouts) {
   return ec;
 }
 
+// Tree epoch minus TT generation: constant over an engine's life when the
+// table's clock ticks exactly once per epoch step.
+std::int64_t clock_lag(SearchEngine& engine) {
+  return static_cast<std::int64_t>(engine.tree().epoch()) -
+         static_cast<std::int64_t>(engine.transposition()->generation());
+}
+
 TEST(EngineTt, AdvanceArchivesDiscardedSubtreesAndTracksEpoch) {
   Gomoku env(5, 4);
   SyntheticEvaluator eval(env.action_count(), env.encode_size());
   SearchEngine engine(tt_engine_config(300), {.evaluator = &eval});
   ASSERT_NE(engine.transposition(), nullptr);
+  const std::int64_t lag = clock_lag(engine);
 
   const SearchResult r = engine.search(env);
   TranspositionTable* tt = engine.transposition();
-  EXPECT_EQ(tt->generation(), engine.tree().epoch());
+  EXPECT_EQ(clock_lag(engine), lag);
   const TtStatsSnapshot before = tt->stats();
   EXPECT_GT(before.entries, 0u);
 
@@ -350,18 +357,19 @@ TEST(EngineTt, AdvanceArchivesDiscardedSubtreesAndTracksEpoch) {
   const TtStatsSnapshot after = tt->stats();
   EXPECT_GT(after.merges + after.stores, before.merges + before.stores);
   // Generation tracks the compaction epoch in lockstep.
-  EXPECT_EQ(tt->generation(), engine.tree().epoch());
+  EXPECT_EQ(clock_lag(engine), lag);
 }
 
 TEST(EngineTt, ResetGameClearsTableByDefault) {
   Gomoku env(5, 4);
   SyntheticEvaluator eval(env.action_count(), env.encode_size());
   SearchEngine engine(tt_engine_config(200), {.evaluator = &eval});
+  const std::int64_t lag = clock_lag(engine);
   engine.search(env);
   ASSERT_GT(engine.transposition()->stats().entries, 0u);
   engine.reset_game();
   EXPECT_EQ(engine.transposition()->stats().entries, 0u);
-  EXPECT_EQ(engine.transposition()->generation(), engine.tree().epoch());
+  EXPECT_EQ(clock_lag(engine), lag);
 }
 
 TEST(EngineTt, KeepAcrossGamesGraftsTheSecondGame) {
