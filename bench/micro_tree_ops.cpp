@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "eval/evaluator.hpp"
+#include "mcts/factory.hpp"
 #include "mcts/selection.hpp"
-#include "mcts/serial.hpp"
 #include "mcts/transposition.hpp"
 #include "perfmodel/synthetic_game.hpp"
 
@@ -23,8 +23,9 @@ struct PreparedTree {
 
   explicit PreparedTree(int playouts) {
     cfg.num_playouts = playouts;
-    SerialMcts search(cfg, eval);
-    (void)search.search(game);  // warm the arena
+    // Warm the arena.
+    (void)make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval})
+        ->search(game);
   }
 };
 
@@ -34,13 +35,13 @@ void BM_SelectionDescent(benchmark::State& state) {
   SyntheticEvaluator eval(fanout, 64, 0.0);
   MctsConfig cfg;
   cfg.num_playouts = 512;
-  SerialMcts warm(cfg, eval);
-  (void)warm.search(game);
+  (void)make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval})
+      ->search(game);
 
   // Measure select+expand+backup amortized over fresh searches.
   for (auto _ : state) {
-    SerialMcts search(cfg, eval);
-    benchmark::DoNotOptimize(search.search(game));
+    auto search = make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval});
+    benchmark::DoNotOptimize(search->search(game));
   }
   state.counters["us_per_iteration"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * cfg.num_playouts,

@@ -173,6 +173,8 @@ SubmitOutcome AsyncBatchEvaluator::submit(const float* input, Callback cb,
     if (static_cast<int>(pending_->callbacks.size()) + pending_attached_ >=
         threshold_) {
       dispatch_locked(lock, DispatchReason::kThreshold);
+    } else if (slot == 0 && stale_flush_us_ > 0.0) {
+      flusher_cv_.notify_one();  // a batch opened: arm its deadline
     }
   }
   std::memcpy(batch->inputs.data() + slot * isz, input, isz * sizeof(float));
@@ -427,19 +429,22 @@ void AsyncBatchEvaluator::stream_loop() {
 }
 
 void AsyncBatchEvaluator::flusher_loop(const std::stop_token& stop) {
-  const auto period =
-      std::chrono::nanoseconds(static_cast<std::int64_t>(stale_flush_us_ * 500));
-  while (!stop.stop_requested()) {
-    std::this_thread::sleep_for(period);
-    std::unique_lock lock(mutex_);
-    if (pending_ && !pending_->callbacks.empty()) {
-      const double age_us =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - oldest_pending_)
-              .count();
-      if (age_us >= stale_flush_us_) {
-        dispatch_locked(lock, DispatchReason::kStale);
-      }
+  const auto stale =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::micro>(stale_flush_us_));
+  const auto forming = [this] {
+    return pending_ != nullptr && !pending_->callbacks.empty();
+  };
+  std::unique_lock lock(mutex_);
+  // Sleep until a batch is forming, then until its first-slot deadline
+  // unless it dispatches (or a newer batch replaces it) first.
+  while (flusher_cv_.wait(lock, stop, forming)) {
+    const std::uint64_t seq = pending_seq_;
+    const bool left = flusher_cv_.wait_until(
+        lock, stop, oldest_pending_ + stale,
+        [&] { return !forming() || pending_seq_ != seq; });
+    if (!left && !stop.stop_requested()) {
+      dispatch_locked(lock, DispatchReason::kStale);
     }
   }
 }

@@ -18,8 +18,11 @@
 //
 // A stale-flush timer bounds the wait for a partial batch (needed at the
 // tail of a move when fewer than B requests remain — e.g. the last
-// iterations of a 1600-playout move with B = 20), and drain() forces
-// completion of everything in flight at the end of a move.
+// iterations of a 1600-playout move with B = 20): a batch still forming
+// stale_flush_us after its first slot was reserved is dispatched at that
+// deadline. The timer thread sleeps until a batch opens that a threshold
+// crossing did not dispatch at once, so a B=1 queue never wakes it. drain()
+// forces completion of everything in flight at the end of a move.
 //
 // With an EvalCache attached (set_cache), requests carry the position's
 // 64-bit Zobrist hash and duplicate inference is eliminated at the queue
@@ -180,7 +183,8 @@ class AsyncBatchEvaluator {
     return threshold_;
   }
   int num_streams() const { return static_cast<int>(streams_.size()); }
-  // The stale-flush timer period (µs); 0 when the timer is disabled.
+  // The stale-flush deadline (µs after a batch's first slot); 0 when the
+  // timer is disabled.
   // Multi-producer users (MatchService) require it for liveness at game
   // tails, where the remaining producers cannot fill a batch.
   double stale_flush_us() const { return stale_flush_us_; }
@@ -277,6 +281,8 @@ class AsyncBatchEvaluator {
   std::chrono::steady_clock::time_point oldest_pending_;
   std::atomic<std::size_t> in_flight_{0};  // accepted, not yet completed
   std::condition_variable drained_cv_;
+  // Wakes the stale-flush thread when a batch opens and stays pending.
+  std::condition_variable_any flusher_cv_;
 
   BatchQueueStats stats_;
   double sum_batch_sizes_ = 0.0;

@@ -3,15 +3,15 @@
 #include <thread>
 #include <vector>
 
+#include "mcts/factory.hpp"
 #include "mcts/selection.hpp"
-#include "mcts/serial.hpp"
 #include "support/timer.hpp"
 
 namespace apm {
 
 RootParallelMcts::RootParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval)
-    : MctsSearch(cfg), workers_(workers), eval_(eval) {
+    : MctsSearch(cfg, nullptr, &eval, nullptr), workers_(workers) {
   APM_CHECK(workers >= 1);
 }
 
@@ -28,8 +28,9 @@ SearchResult RootParallelMcts::search(const Game& env) {
         MctsConfig local = cfg_;
         local.num_playouts = per_worker;
         local.seed = cfg_.seed + static_cast<std::uint64_t>(w) * 7919 + 1;
-        SerialMcts worker_search(local, eval_);
-        partials[w] = worker_search.search(env);
+        partials[w] = make_search(Scheme::kSerial, local, 1,
+                                  {.evaluator = eval_})
+                          ->search(env);
       });
     }
   }
@@ -45,18 +46,9 @@ SearchResult RootParallelMcts::search(const Game& env) {
       result.action_prior[a] += p.action_prior[a];
     }
     value_acc += p.root_value;
-    result.metrics.select_seconds += p.metrics.select_seconds;
-    result.metrics.expand_seconds += p.metrics.expand_seconds;
-    result.metrics.backup_seconds += p.metrics.backup_seconds;
-    result.metrics.eval_seconds += p.metrics.eval_seconds;
-    result.metrics.eval_requests += p.metrics.eval_requests;
-    result.metrics.expansions += p.metrics.expansions;
-    result.metrics.sum_depth += p.metrics.sum_depth;
-    result.metrics.terminal_rollouts += p.metrics.terminal_rollouts;
+    result.metrics.add_rollouts(p.metrics);
     result.metrics.nodes += p.metrics.nodes;
     result.metrics.edges += p.metrics.edges;
-    result.metrics.max_depth =
-        std::max(result.metrics.max_depth, p.metrics.max_depth);
   }
   float best = -1.0f;
   for (std::size_t a = 0; a < result.action_prior.size(); ++a) {
@@ -75,11 +67,9 @@ SearchResult RootParallelMcts::search(const Game& env) {
 
 LeafParallelMcts::LeafParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval, SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
+    : MctsSearch(cfg, shared_tree, &eval, nullptr),
       workers_(workers),
-      eval_(eval),
-      pool_(static_cast<std::size_t>(workers)),
-      rng_(cfg.seed) {
+      pool_(static_cast<std::size_t>(workers)) {
   APM_CHECK(workers >= 1);
 }
 
@@ -90,21 +80,9 @@ SearchResult LeafParallelMcts::search(const Game& env) {
   metrics.workers = workers_;
   Timer move_timer;
 
-  std::vector<float> input(env.encode_size());
-  EvalOutput root_out;
+  prepare_root(env, reuse);
 
-  if (!reuse) {
-    Node& root = tree_.node(tree_.root());
-    ExpandState expected = ExpandState::kLeaf;
-    APM_CHECK(root.state.compare_exchange_strong(
-        expected, ExpandState::kExpanding, std::memory_order_acq_rel));
-    env.encode(input.data());
-    eval_.evaluate(input.data(), root_out);
-    ops.expand(tree_.root(), env, root_out.policy,
-               cfg_.root_noise ? &rng_ : nullptr);
-  } else if (cfg_.root_noise) {
-    ops.mix_root_noise(rng_);
-  }
+  std::vector<float> input(env.encode_size());
 
   int playouts_done = 0;
   std::vector<EvalOutput> outs(static_cast<std::size_t>(workers_));
@@ -132,7 +110,7 @@ SearchResult LeafParallelMcts::search(const Game& env) {
     phase.reset();
     for (int w = 0; w < dup; ++w) {
       pool_.submit([this, &input, &outs, w] {
-        eval_.evaluate(input.data(), outs[w]);
+        eval_->evaluate(input.data(), outs[w]);
       });
     }
     pool_.wait_idle();

@@ -32,7 +32,6 @@ class RootParallelMcts final : public MctsSearch {
 
  private:
   int workers_;
-  Evaluator& eval_;
 };
 
 class LeafParallelMcts final : public MctsSearch {
@@ -46,9 +45,7 @@ class LeafParallelMcts final : public MctsSearch {
 
  private:
   int workers_;
-  Evaluator& eval_;
   ThreadPool pool_;
-  Rng rng_;
 };
 
 }  // namespace apm

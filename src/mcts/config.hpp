@@ -10,8 +10,9 @@
 namespace apm {
 
 // The parallel schemes of the program template (§3). kSerial is the
-// 1-worker reference; kLeafParallel / kRootParallel are the related-work
-// baselines (§2.2) used by the ablation bench.
+// shared-tree driver at one worker, run on the calling thread;
+// kLeafParallel / kRootParallel are the related-work baselines (§2.2) used
+// by the ablation bench.
 enum class Scheme {
   kSerial,
   kSharedTree,
@@ -43,11 +44,6 @@ inline int scheme_inflight(Scheme scheme, int workers, int batch,
   }
 }
 
-// Lock discipline for the shared-tree scheme (ablation):
-// per-node 1-byte spinlocks + per-edge atomics (default), or one coarse
-// tree mutex exactly like Algorithm 2's "obtain lock".
-enum class LockMode { kPerNode, kCoarse };
-
 // Virtual-loss flavour (§2.1: "VL can either be a pre-defined constant
 // value [2], or a number tracking visit counts of child nodes [8]"):
 //  kConstant      — each in-flight rollout behaves as `virtual_loss` extra
@@ -71,7 +67,6 @@ struct MctsConfig {
   float noise_fraction = 0.25f;
   // Deterministic seed for noise/tie-breaking.
   std::uint64_t seed = 1;
-  LockMode lock_mode = LockMode::kPerNode;
 };
 
 // Per-move instrumentation. Phase times are *summed across workers* (they
@@ -123,6 +118,26 @@ struct SearchMetrics {
   std::size_t reused_nodes = 0;
   std::int64_t reused_visits = 0;
   BatchQueueStats batch;
+
+  // Folds another worker's (or tree's) rollout counters and phase times
+  // into this one: sums, except the depth maximum.
+  void add_rollouts(const SearchMetrics& o) {
+    select_seconds += o.select_seconds;
+    expand_seconds += o.expand_seconds;
+    backup_seconds += o.backup_seconds;
+    eval_seconds += o.eval_seconds;
+    max_depth = max_depth > o.max_depth ? max_depth : o.max_depth;
+    sum_depth += o.sum_depth;
+    eval_requests += o.eval_requests;
+    cache_hits += o.cache_hits;
+    coalesced_evals += o.coalesced_evals;
+    expansions += o.expansions;
+    tt_probes += o.tt_probes;
+    tt_grafts += o.tt_grafts;
+    tt_pending += o.tt_pending;
+    tt_stores += o.tt_stores;
+    terminal_rollouts += o.terminal_rollouts;
+  }
 
   double amortized_iteration_us() const {
     return playouts > 0 ? move_seconds * 1e6 / playouts : 0.0;

@@ -176,11 +176,11 @@ void SearchEngine::rebuild_driver(Scheme scheme, int workers,
   if (cfg_.adapt && cfg_.adaptive.tune_virtual_loss) {
     // WU-UCT follow-up: VL tracks the in-flight parallelism of the
     // installed configuration, applied through the driver config exactly
-    // like the batch threshold below. When the queue is service-owned
-    // (manage_batch_threshold off) the plan's B is NOT applied to it, so
-    // VL must follow the queue's actual dispatch granularity instead.
+    // like the batch threshold below. When the queue is owner-tuned
+    // (tagged) the plan's B is NOT applied to it, so VL must follow the
+    // queue's actual dispatch granularity instead.
     int vl_batch = batch_threshold;
-    if (res_.batch != nullptr && !cfg_.manage_batch_threshold) {
+    if (res_.batch != nullptr && res_.batch_tag >= 0) {
       vl_batch = res_.batch->batch_threshold();
     }
     mcts.virtual_loss =
@@ -188,7 +188,7 @@ void SearchEngine::rebuild_driver(Scheme scheme, int workers,
     mcts.vl_mode = controller_.planned_vl_mode(scheme, workers, vl_batch);
   }
   driver_ = make_search(scheme, mcts, workers, res_, &tree_);
-  if (res_.batch != nullptr && cfg_.manage_batch_threshold) {
+  if (res_.batch != nullptr && res_.batch_tag < 0) {
     // §3.3: shared-tree batches are always N; local-tree uses the tuned B.
     const int threshold =
         scheme == Scheme::kSharedTree ? workers : std::max(1, batch_threshold);
@@ -213,12 +213,10 @@ SearchResult SearchEngine::search(const Game& env) {
   if (pending_reuse_) {
     ms.reused_tree = true;
     ms.reused_visits = reusable_visits_;
-    if (cfg_.count_reused_visits) {
-      budget = std::max<int>(
-          cfg_.min_playouts,
-          budget - static_cast<int>(std::min<std::int64_t>(
-                       reusable_visits_, cfg_.mcts.num_playouts)));
-    }
+    budget = std::max<int>(
+        kMinReusePlayouts,
+        budget - static_cast<int>(std::min<std::int64_t>(
+                     reusable_visits_, cfg_.mcts.num_playouts)));
     driver_->set_reuse_next(true);
   }
   ms.playout_budget = budget;

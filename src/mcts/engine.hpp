@@ -7,7 +7,7 @@
 //    the next move (AlphaZero-standard tree reuse), and the engine credits
 //    the carried visit mass against the playout budget so a warm tree does
 //    measurably fewer expansions per move;
-//  * the scheme driver — Serial/SharedTree/LocalTree run as interchangeable
+//  * the scheme driver — serial/SharedTree/LocalTree run as interchangeable
 //    drivers over the shared arena, so a runtime switch hands the reused
 //    tree to the new scheme instead of discarding it;
 //  * the adaptive controller — per move, measured SearchMetrics are folded
@@ -43,19 +43,16 @@ struct EngineConfig {
   // Initial configuration (typically the §4.2 design-time decision).
   Scheme scheme = Scheme::kSerial;
   int workers = 1;
-  int batch_threshold = 1;  // applied when a batch evaluator is supplied
-  // When false the engine never calls set_batch_threshold on the supplied
-  // AsyncBatchEvaluator: a shared multi-producer queue (MatchService) is
-  // tuned by its owner, and K per-game engines must not fight over it.
-  bool manage_batch_threshold = true;
+  // Applied to an untagged batch evaluator. A tagged one
+  // (SearchResources::batch_tag >= 0) is a shared multi-producer queue
+  // tuned by its owner (MatchService), so K per-game engines never touch
+  // its threshold.
+  int batch_threshold = 1;
 
-  // Cross-move tree reuse.
+  // Cross-move tree reuse: visits carried over at the new root count
+  // toward the per-move playout budget (the reuse saving), down to a floor
+  // of kMinReusePlayouts.
   bool reuse_tree = true;
-  // When true, visits carried over at the new root count toward the
-  // per-move playout budget (the reuse saving); when false every move runs
-  // the full num_playouts on top of the reused tree.
-  bool count_reused_visits = true;
-  int min_playouts = 16;  // budget floor after reuse credit
 
   // Runtime adaptation.
   bool adapt = true;
@@ -115,6 +112,9 @@ struct EngineMoveStats {
 
 class SearchEngine {
  public:
+  // Playout budget floor of a move that starts from a reused tree.
+  static constexpr int kMinReusePlayouts = 16;
+
   SearchEngine(EngineConfig cfg, SearchResources res);
   ~SearchEngine();
 

@@ -11,17 +11,15 @@ std::unique_ptr<MctsSearch> build(Scheme scheme, MctsConfig cfg, int workers,
                                   SearchTree* shared_tree) {
   switch (scheme) {
     case Scheme::kSerial:
-      if (res.batch != nullptr) {
-        return std::make_unique<SerialMcts>(cfg, *res.batch, shared_tree);
-      }
-      return std::make_unique<SerialMcts>(cfg, *res.evaluator, shared_tree);
+      workers = 1;
+      [[fallthrough]];
     case Scheme::kSharedTree:
       if (res.batch != nullptr) {
         return std::make_unique<SharedTreeMcts>(cfg, workers, *res.batch,
-                                                shared_tree);
+                                                shared_tree, scheme);
       }
       return std::make_unique<SharedTreeMcts>(cfg, workers, *res.evaluator,
-                                              shared_tree);
+                                              shared_tree, scheme);
     case Scheme::kLocalTree:
       if (res.batch != nullptr) {
         return std::make_unique<LocalTreeMcts>(cfg, workers, *res.batch,

@@ -7,17 +7,17 @@
 #include "mcts/baselines.hpp"
 #include "mcts/local_tree.hpp"
 #include "mcts/search.hpp"
-#include "mcts/serial.hpp"
 #include "mcts/shared_tree.hpp"
 
 namespace apm {
 
 // Evaluation resources for a search. Exactly one of `evaluator` (CPU
-// inference) or `batch` (accelerator queue) must be set for parallel
-// schemes and serial (which prefer `batch` when both are set); the
-// baselines require `evaluator`. `batch_tag` (>= 0) tags every request this
-// search submits to `batch`, so a shared multi-producer queue can attribute
-// batch occupancy per game slot (MatchService).
+// inference) or `batch` (accelerator queue) must be set for the serial,
+// shared-tree and local-tree schemes (which prefer `batch` when both are
+// set); the baselines require `evaluator`. `batch_tag` (>= 0) tags every
+// request this search submits to `batch`, so a shared multi-producer queue
+// can attribute batch occupancy per game slot (MatchService); a tagged
+// queue is shared, so its owner tunes its threshold.
 struct SearchResources {
   Evaluator* evaluator = nullptr;
   AsyncBatchEvaluator* batch = nullptr;

@@ -25,51 +25,17 @@ struct Completion {
 
 LocalTreeMcts::LocalTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
                              SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
+    : MctsSearch(cfg, shared_tree, &eval, nullptr),
       workers_(workers),
-      eval_(&eval),
-      pool_(std::make_unique<ThreadPool>(static_cast<std::size_t>(workers))),
-      rng_(cfg.seed) {
+      pool_(std::make_unique<ThreadPool>(static_cast<std::size_t>(workers))) {
   APM_CHECK(workers >= 1);
 }
 
 LocalTreeMcts::LocalTreeMcts(MctsConfig cfg, int workers,
                              AsyncBatchEvaluator& batch,
                              SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree),
-      workers_(workers),
-      batch_(&batch),
-      rng_(cfg.seed) {
+    : MctsSearch(cfg, shared_tree, nullptr, &batch), workers_(workers) {
   APM_CHECK(workers >= 1);
-}
-
-void LocalTreeMcts::evaluate_root(const Game& env) {
-  InTreeOps ops(tree_, cfg_);
-  Node& root = tree_.node(tree_.root());
-  ExpandState expected = ExpandState::kLeaf;
-  const bool claimed = root.state.compare_exchange_strong(
-      expected, ExpandState::kExpanding, std::memory_order_acq_rel);
-  APM_CHECK(claimed);
-
-  std::vector<float> input(env.encode_size());
-  env.encode(input.data());
-  EvalOutput out;
-  if (batch_ != nullptr) {
-    SubmitOutcome how = SubmitOutcome::kQueued;
-    auto fut = batch_->submit_future(input.data(), batch_tag(), env.eval_key(),
-                                     &how);
-    // Sole producer only: on a tagged multi-producer queue the flush would
-    // dispatch other games' forming batches (stale timer covers the wait).
-    if (batch_tag() < 0 && how == SubmitOutcome::kQueued) batch_->flush();
-    out = fut.get();
-    // Root dedupe is deliberately NOT counted into SearchMetrics (see
-    // SharedTreeMcts::evaluate_root): cache_hits must stay a subset of the
-    // leaf-only eval_requests.
-  } else {
-    eval_->evaluate(input.data(), out);
-  }
-  ops.note_eval(tree_.root(), env.eval_key(), out.value);
-  ops.expand(tree_.root(), env, out.policy, cfg_.root_noise ? &rng_ : nullptr);
 }
 
 SearchResult LocalTreeMcts::search(const Game& env) {
@@ -82,11 +48,7 @@ SearchResult LocalTreeMcts::search(const Game& env) {
   BatchQueueStats batch_before;
   if (batch_ != nullptr) batch_before = batch_->stats();
 
-  if (!reuse) {
-    evaluate_root(env);
-  } else if (cfg_.root_noise) {
-    ops.mix_root_noise(rng_);
-  }
+  prepare_root(env, reuse);
 
   SyncQueue<Completion> completions;
   std::vector<float> input(env.encode_size());

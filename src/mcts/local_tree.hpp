@@ -45,13 +45,8 @@ class LocalTreeMcts final : public MctsSearch {
   int workers() const override { return workers_; }
 
  private:
-  void evaluate_root(const Game& env);
-
   int workers_;
-  Evaluator* eval_ = nullptr;
-  AsyncBatchEvaluator* batch_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;  // CPU mode only
-  Rng rng_;
 };
 
 }  // namespace apm

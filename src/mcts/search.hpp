@@ -18,10 +18,12 @@
 
 #include <memory>
 
+#include "eval/evaluator.hpp"
 #include "games/game.hpp"
 #include "mcts/config.hpp"
 #include "mcts/transposition.hpp"
 #include "mcts/tree.hpp"
+#include "support/rng.hpp"
 
 namespace apm {
 
@@ -54,18 +56,24 @@ class MctsSearch {
   int batch_tag() const { return batch_tag_; }
 
   // Attaches a caller-owned transposition table (nullptr detaches). The
-  // TT-aware drivers (Serial/SharedTree/LocalTree) probe it before every
-  // leaf evaluation and store every fresh expansion; other schemes ignore
-  // it. The owner manages clearing; the search bumps the table's
-  // generation clock once per arena reset (see begin_move).
+  // TT-aware drivers (SharedTree, serial included, and LocalTree) probe it
+  // before every leaf evaluation and store every fresh expansion; other
+  // schemes ignore it. The owner manages clearing; the search bumps the
+  // table's generation clock once per arena reset (see begin_move).
   void set_transposition(TranspositionTable* tt) { tt_ = tt; }
   TranspositionTable* transposition() const { return tt_; }
 
  protected:
-  explicit MctsSearch(MctsConfig cfg, SearchTree* shared_tree = nullptr)
+  // Exactly one of `eval` (synchronous inference) or `batch` (the
+  // accelerator queue) is set.
+  MctsSearch(MctsConfig cfg, SearchTree* shared_tree, Evaluator* eval,
+             AsyncBatchEvaluator* batch)
       : cfg_(cfg),
         owned_tree_(shared_tree ? nullptr : std::make_unique<SearchTree>()),
-        tree_(shared_tree ? *shared_tree : *owned_tree_) {}
+        tree_(shared_tree ? *shared_tree : *owned_tree_),
+        eval_(eval),
+        batch_(batch),
+        rng_(cfg.seed) {}
 
   // Consumes the reuse flag; true only when the prepared root is actually
   // expanded (otherwise the search must evaluate it from scratch anyway).
@@ -92,6 +100,17 @@ class MctsSearch {
     metrics.reused_visits = reuse ? tree_.root_visit_total() : 0;
     return reuse;
   }
+
+  // Readies the root for this move's rollouts: a reused root only gets
+  // fresh Dirichlet noise (self-play); a fresh root is claimed, evaluated
+  // and expanded, with noise. Over an untagged queue this driver is the
+  // root's sole producer, so the forming batch is flushed instead of
+  // waiting for a fill that cannot come; on a tagged (multi-producer)
+  // queue a flush would dispatch other games' forming batches, and the
+  // stale timer bounds the root's wait instead. Root dedupe is not counted
+  // in SearchMetrics: cache_hits must stay a subset of the leaf-only
+  // eval_requests. Root hits still show in the queue and cache counters.
+  void prepare_root(const Game& env, bool reuse);
 
   // Shared epilogue for drivers running over an AsyncBatchEvaluator: fills
   // metrics.batch with this move's global-queue delta when this driver is
@@ -124,6 +143,9 @@ class MctsSearch {
   std::unique_ptr<SearchTree> owned_tree_;
   SearchTree& tree_;
   TranspositionTable* tt_ = nullptr;
+  Evaluator* eval_;
+  AsyncBatchEvaluator* batch_;
+  Rng rng_;  // root noise
 
  private:
   bool reuse_next_ = false;

@@ -198,7 +198,7 @@ class TranspositionTable {
   std::atomic<std::int64_t> occupied_{0};
 };
 
-// --- driver glue (shared by Serial / SharedTree / LocalTree) -------------
+// --- driver glue (shared by SharedTree, serial included, and LocalTree) --
 
 // One probe-and-graft step for a freshly claimed leaf: on kHit the node is
 // expanded from the stored entry and *value_out

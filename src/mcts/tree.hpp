@@ -12,8 +12,7 @@
 // Edge statistics are C++ atomics: visits N(s,a), value sum W(s,a), the
 // virtual-loss counter, and the child pointer. The shared-tree scheme
 // updates them from N threads; per-node spinlocks additionally serialise
-// expansion (and, in LockMode::kCoarse, a single lock serialises whole
-// phases, reproducing the original lock-everything variant [2]).
+// expansion.
 //
 // Chunk directories are fixed-size arrays of atomic pointers: growing the
 // arena publishes a new chunk with a release store, and readers load with
@@ -182,9 +181,6 @@ class SearchTree {
   // Approximate resident bytes (for the cache-fit analysis of Eq. 5).
   std::size_t memory_bytes() const;
 
-  // Coarse-lock mode: one lock for the whole tree (Algorithm 2 verbatim).
-  SpinLock& coarse_lock() { return coarse_lock_; }
-
   static constexpr std::size_t kNodeShift = 12;  // 4096-node chunks
   static constexpr std::size_t kNodeMask = (1u << kNodeShift) - 1;
   static constexpr std::size_t kEdgeShift = 16;  // 65536-edge chunks
@@ -221,7 +217,6 @@ class SearchTree {
   std::atomic<Arena*> front_{&arenas_[0]};
   std::atomic<std::uint32_t> epoch_{0};
   SpinLock grow_lock_;
-  SpinLock coarse_lock_;
 };
 
 }  // namespace apm

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mcts/serial.hpp"
+#include "mcts/factory.hpp"
 #include "perfmodel/synthetic_game.hpp"
 #include "support/timer.hpp"
 
@@ -29,8 +29,8 @@ ProfiledCosts profile_intree_costs(const AlgoSpec& algo,
   SyntheticEvaluator eval(game.action_count(), game.encode_size(),
                           /*latency_us=*/0.0);
   const MctsConfig cfg = profiling_config(algo, profile_playouts);
-  SerialMcts search(cfg, eval);
-  const SearchResult result = search.search(game);
+  const SearchResult result =
+      make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval})->search(game);
   const auto& m = result.metrics;
 
   ProfiledCosts costs;

@@ -71,8 +71,7 @@
 // threshold; at runtime the AggregateController (serve/
 // aggregate_controller.hpp) re-tunes each lane's threshold independently
 // from that lane's measured arrival rate. Per-game engines never manage a
-// pooled queue's threshold (MatchService forces manage_batch_threshold
-// off).
+// pooled queue's threshold (MatchService engines submit tagged).
 //
 // Thread safety: registration is single-threaded setup (add_model before
 // any service attaches); the lane accessors are const after that and the

@@ -23,8 +23,9 @@ int play_game(const Game& opening, const GateSide& first,
   EngineConfig ec_second = second.engine;
   ec_second.mcts.seed = second_seed;
 
-  SearchEngine eng_first(ec_first, {.batch = first.queue});
-  SearchEngine eng_second(ec_second, {.batch = second.queue});
+  // Tagged: the queues are owner-tuned, so the engines never re-tune them.
+  SearchEngine eng_first(ec_first, {.batch = first.queue, .batch_tag = 0});
+  SearchEngine eng_second(ec_second, {.batch = second.queue, .batch_tag = 1});
 
   int moves = 0;
   while (!env->is_terminal() && (max_moves <= 0 || moves < max_moves)) {
@@ -52,11 +53,6 @@ MatchGateReport run_match_gate(const Game& proto, GateSide candidate,
   APM_CHECK_MSG(baseline.queue != nullptr, "match gate: baseline queue");
 
   const int pairs = (cfg.games + 1) / 2;
-
-  // Pool/shared queues are owner-tuned; gate engines must not fight over
-  // them.
-  candidate.engine.manage_batch_threshold = false;
-  baseline.engine.manage_batch_threshold = false;
 
   MatchGateReport rep;
   rep.candidate = candidate.label;

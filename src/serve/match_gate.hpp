@@ -19,8 +19,8 @@
 //    it changes. The whole gate is a pure function of (sides, proto, cfg).
 //  * Game 1 seats the candidate first, game 2 the baseline; a win for
 //    whoever the candidate is counts toward candidate_wins either way.
-//  * manage_batch_threshold is forced off on both sides (pool queues are
-//    owner-tuned; gate engines must not re-tune them).
+//  * The first mover's engine submits with tag 0, the second's with tag 1:
+//    tagged queues are owner-tuned, so gate engines never re-tune them.
 //
 // Pass rule: candidate_score >= 0.5 − cfg.max_winrate_drop. A play-neutral
 // candidate scores ≈ 0.5 by symmetry; a change that actually shifts play

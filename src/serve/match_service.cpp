@@ -200,9 +200,6 @@ void MatchService::build_slot(Slot& slot) {
   // of scheduling order, and of which of the workload's slots seated it.
   const Workload& wl = *workloads_[static_cast<std::size_t>(slot.workload)];
   EngineConfig ec = wl.spec.engine;
-  // The service (or its aggregate controller) owns queue thresholds;
-  // per-game engines must not re-tune them on their own scheme switches.
-  ec.manage_batch_threshold = false;
   ec.mcts.seed = wl.spec.engine.mcts.seed +
                  static_cast<std::uint64_t>(slot.game_id) *
                      cfg_.engine_seed_stride;
@@ -212,7 +209,9 @@ void MatchService::build_slot(Slot& slot) {
 
   SearchResources res;
   res.batch = &pool_.queue(wl.model_id);
-  res.batch_tag = slot.id;  // attribute lane occupancy to this slot
+  // Attributes lane occupancy to this slot; a tagged queue is owner-tuned,
+  // so the engine never re-tunes the lane threshold on a scheme switch.
+  res.batch_tag = slot.id;
   // The lane's shared transposition memory (if declared): every engine
   // this lane seats grafts from — and stores into — the same table, so
   // sibling games dedupe whole expansions, not just NN calls. An engine

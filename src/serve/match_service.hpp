@@ -41,7 +41,7 @@
 // (retune_log()) — the threshold trajectory BENCH_hetero.json records.
 // With cfg.aggregate.enabled = false every lane keeps the threshold it was
 // registered with. Per-game engines never manage a pooled queue's
-// threshold (manage_batch_threshold is forced off).
+// threshold (they submit tagged).
 // Results stay worker-count independent under retuning because per-request
 // results never depend on batch composition — only latency does.
 //
@@ -103,10 +103,10 @@ struct ServiceConfig {
 };
 
 // One heterogeneous workload: `slots` concurrent games of `proto`'s game,
-// all evaluating on the pool model named `model`. The service forces
-// manage_batch_threshold = false on `engine` (the service — or its
-// aggregate controller — owns lane thresholds; K engines must not fight
-// over them).
+// all evaluating on the pool model named `model`. Each engine submits
+// tagged with its slot, so it never re-tunes the lane threshold (the
+// service — or its aggregate controller — owns it; K engines must not
+// fight over it).
 struct ServiceWorkload {
   std::shared_ptr<const Game> proto;  // cloned per seated episode
   std::string model;

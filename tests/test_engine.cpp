@@ -414,12 +414,12 @@ TEST(SearchEngine, ReuseDisabledMatchesBareDriver) {
   ec.reuse_tree = false;
   ec.adapt = false;
   SearchEngine engine(ec, {.evaluator = &eval});
-  SerialMcts bare(cfg, eval);
+  auto bare = make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval});
 
   auto env = g.clone();
   for (int move = 0; move < 3; ++move) {
     const SearchResult re = engine.search(*env);
-    const SearchResult rb = bare.search(*env);
+    const SearchResult rb = bare->search(*env);
     ASSERT_EQ(re.action_prior, rb.action_prior) << "move " << move;
     env->apply(rb.best_action);
     engine.advance(rb.best_action);

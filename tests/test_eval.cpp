@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -221,6 +222,32 @@ TEST(AsyncBatch, StaleFlushCompletesWithoutExplicitFlush) {
             std::future_status::ready);
   EXPECT_EQ(queue.stats().stale_flushes, 1u);
   EXPECT_EQ(queue.stats().threshold_dispatches, 0u);
+}
+
+TEST(AsyncBatch, StaleFlushFiresAtTheFirstSlotDeadline) {
+  // A lone partial batch dispatches at its first slot's deadline, never
+  // before it. The median of five rounds bounds the lateness, so one slow
+  // wake-up cannot fail the test.
+  SyntheticEvaluator eval(5, 2);
+  CpuBackend backend(eval);
+  constexpr double kStaleUs = 30000.0;
+  AsyncBatchEvaluator queue(backend, /*threshold=*/64, /*streams=*/1,
+                            kStaleUs);
+  const float input[2] = {5, 6};
+  std::vector<double> waits_us;
+  for (int round = 0; round < 5; ++round) {
+    // Submitting just after a tick of a timer that polls every stale/2
+    // would leave the batch pending for ~1.5x stale.
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(static_cast<int>(kStaleUs / 2) + 1000));
+    Timer wait;
+    queue.submit_future(input).get();
+    waits_us.push_back(wait.elapsed_us());
+  }
+  for (const double w : waits_us) EXPECT_GE(w, kStaleUs);
+  std::sort(waits_us.begin(), waits_us.end());
+  EXPECT_LT(waits_us[2], 1.25 * kStaleUs);
+  EXPECT_EQ(queue.stats().stale_flushes, 5u);
 }
 
 TEST(AsyncBatch, DispatchReasonCounters) {

@@ -60,11 +60,12 @@ struct TrainerService {
 TEST(SelfPlay, EpisodeLabelsFollowOutcome) {
   Gomoku g = make_tictactoe();
   UniformEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts search(small_search(50), eval);
+  auto search =
+      make_search(Scheme::kSerial, small_search(50), 1, {.evaluator = &eval});
   ReplayBuffer buffer(256);
   SelfPlayConfig sp;
   sp.temperature_moves = 2;
-  const EpisodeStats stats = run_self_play_episode(g, search, buffer, sp);
+  const EpisodeStats stats = run_self_play_episode(g, *search, buffer, sp);
 
   EXPECT_GT(stats.moves, 4);        // a TicTacToe game lasts ≥ 5 moves
   EXPECT_EQ(stats.samples, stats.moves);
@@ -84,22 +85,24 @@ TEST(SelfPlay, EpisodeLabelsFollowOutcome) {
 TEST(SelfPlay, AugmentMultipliesSamplesEightfold) {
   Gomoku g = make_tictactoe();
   UniformEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts search(small_search(30), eval);
+  auto search =
+      make_search(Scheme::kSerial, small_search(30), 1, {.evaluator = &eval});
   ReplayBuffer buffer(1024);
   SelfPlayConfig sp;
   sp.augment = true;
-  const EpisodeStats stats = run_self_play_episode(g, search, buffer, sp);
+  const EpisodeStats stats = run_self_play_episode(g, *search, buffer, sp);
   EXPECT_EQ(stats.samples, stats.moves * 8);
 }
 
 TEST(SelfPlay, MaxMovesTruncatesEpisode) {
   Gomoku g(9, 5);
   UniformEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts search(small_search(20), eval);
+  auto search =
+      make_search(Scheme::kSerial, small_search(20), 1, {.evaluator = &eval});
   ReplayBuffer buffer(256);
   SelfPlayConfig sp;
   sp.max_moves = 4;
-  const EpisodeStats stats = run_self_play_episode(g, search, buffer, sp);
+  const EpisodeStats stats = run_self_play_episode(g, *search, buffer, sp);
   EXPECT_EQ(stats.moves, 4);
 }
 
@@ -223,8 +226,9 @@ TEST(Checkpointing, TrainedNetSurvivesSaveLoadWithSameSearchBehaviour) {
   NetEvaluator e1(net), e2(restored);
   MctsConfig cfg = small_search(64);
   cfg.root_noise = false;
-  SerialMcts s1(cfg, e1), s2(cfg, e2);
-  EXPECT_EQ(s1.search(game).action_prior, s2.search(game).action_prior);
+  auto s1 = make_search(Scheme::kSerial, cfg, 1, {.evaluator = &e1});
+  auto s2 = make_search(Scheme::kSerial, cfg, 1, {.evaluator = &e2});
+  EXPECT_EQ(s1->search(game).action_prior, s2->search(game).action_prior);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "eval/evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "mcts/local_tree.hpp"
-#include "mcts/serial.hpp"
 #include "perfmodel/synthetic_game.hpp"
 
 namespace apm {

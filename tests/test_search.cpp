@@ -1,11 +1,18 @@
 // Scheme-level search tests: tactical correctness (winning/blocking moves
 // on TicTacToe), cross-scheme agreement, visit conservation, virtual-loss
-// cleanliness, single-worker equivalence with the serial reference.
+// cleanliness, single-worker equivalence with the serial reference, and a
+// pinned serial trace.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <tuple>
 
+#include "eval/eval_cache.hpp"
+#include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
 #include "mcts/engine.hpp"
@@ -100,44 +107,38 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(SerialMcts, DeterministicAcrossRuns) {
-  Gomoku g(5, 4);
-  UniformEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts s1(quick_config(200), eval);
-  SerialMcts s2(quick_config(200), eval);
-  const SearchResult r1 = s1.search(g);
-  const SearchResult r2 = s2.search(g);
-  EXPECT_EQ(r1.best_action, r2.best_action);
-  EXPECT_EQ(r1.action_prior, r2.action_prior);
+std::unique_ptr<MctsSearch> make_serial(MctsConfig cfg, Evaluator& eval,
+                                        SearchTree* arena = nullptr) {
+  return make_search(Scheme::kSerial, cfg, 1, {.evaluator = &eval}, arena);
 }
 
-TEST(SharedTreeMcts, OneWorkerMatchesSerial) {
+TEST(SerialSearch, DeterministicAcrossRuns) {
   Gomoku g(5, 4);
-  SyntheticEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts serial(quick_config(200), eval);
-  SharedTreeMcts shared(quick_config(200), 1, eval);
-  EXPECT_EQ(serial.search(g).action_prior, shared.search(g).action_prior);
+  UniformEvaluator eval(g.action_count(), g.encode_size());
+  const SearchResult r1 = make_serial(quick_config(200), eval)->search(g);
+  const SearchResult r2 = make_serial(quick_config(200), eval)->search(g);
+  EXPECT_EQ(r1.best_action, r2.best_action);
+  EXPECT_EQ(r1.action_prior, r2.action_prior);
 }
 
 TEST(LocalTreeMcts, OneWorkerMatchesSerial) {
   Gomoku g(5, 4);
   SyntheticEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts serial(quick_config(200), eval);
   LocalTreeMcts local(quick_config(200), 1, eval);
-  EXPECT_EQ(serial.search(g).action_prior, local.search(g).action_prior);
+  EXPECT_EQ(make_serial(quick_config(200), eval)->search(g).action_prior,
+            local.search(g).action_prior);
 }
 
 class ParallelInvariants
-    : public ::testing::TestWithParam<std::tuple<Scheme, int, LockMode>> {};
+    : public ::testing::TestWithParam<std::tuple<Scheme, int>> {};
 
 TEST_P(ParallelInvariants, VisitConservationAndCleanVirtualLoss) {
-  const auto [scheme, workers, lock_mode] = GetParam();
+  const auto [scheme, workers] = GetParam();
   Gomoku g(5, 4);
   SyntheticEvaluator eval(g.action_count(), g.encode_size(),
                           /*latency_us=*/20.0);
-  MctsConfig cfg = quick_config(240);
-  cfg.lock_mode = lock_mode;
-  auto search = make_search(scheme, cfg, workers, {.evaluator = &eval});
+  auto search =
+      make_search(scheme, quick_config(240), workers, {.evaluator = &eval});
   const SearchResult r = search->search(g);
 
   // Every playout backs up exactly one visit through the root.
@@ -152,19 +153,14 @@ TEST_P(ParallelInvariants, VisitConservationAndCleanVirtualLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ParallelInvariants,
-    ::testing::Values(
-        std::tuple{Scheme::kSharedTree, 4, LockMode::kPerNode},
-        std::tuple{Scheme::kSharedTree, 4, LockMode::kCoarse},
-        std::tuple{Scheme::kSharedTree, 16, LockMode::kPerNode},
-        std::tuple{Scheme::kLocalTree, 4, LockMode::kPerNode},
-        std::tuple{Scheme::kLocalTree, 16, LockMode::kPerNode}),
+    ::testing::Values(std::tuple{Scheme::kSharedTree, 4},
+                      std::tuple{Scheme::kSharedTree, 16},
+                      std::tuple{Scheme::kLocalTree, 4},
+                      std::tuple{Scheme::kLocalTree, 16}),
     [](const auto& param_info) {
       std::string name = to_string(std::get<0>(param_info.param));
       name += "_w";
       name += std::to_string(std::get<1>(param_info.param));
-      name += std::get<2>(param_info.param) == LockMode::kCoarse
-                  ? "_coarse"
-                  : "_pernode";
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }
@@ -174,8 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SearchMetrics, PhaseTimesAndCountsPopulated) {
   Gomoku g(5, 4);
   SyntheticEvaluator eval(g.action_count(), g.encode_size(), 5.0);
-  SerialMcts search(quick_config(100), eval);
-  const SearchResult r = search.search(g);
+  const SearchResult r = make_serial(quick_config(100), eval)->search(g);
   EXPECT_GT(r.metrics.move_seconds, 0.0);
   EXPECT_GT(r.metrics.select_seconds, 0.0);
   EXPECT_GT(r.metrics.eval_seconds, 0.0);
@@ -189,8 +184,7 @@ TEST(SearchOnTerminalHeavyPosition, TerminalRolloutsCounted) {
   Gomoku g = make_tictactoe();
   for (int m : {0, 3, 1, 4}) g.apply(m);  // X one move from winning
   UniformEvaluator eval(g.action_count(), g.encode_size());
-  SerialMcts search(quick_config(200), eval);
-  const SearchResult r = search.search(g);
+  const SearchResult r = make_serial(quick_config(200), eval)->search(g);
   EXPECT_GT(r.metrics.terminal_rollouts, 0u);
   EXPECT_EQ(r.best_action, 2);
 }
@@ -230,8 +224,7 @@ TEST(NetBackedSearch, RealNetworkOnSmallBoard) {
   Gomoku g(5, 4);
   PolicyValueNet net(NetConfig::tiny(5), 3);
   NetEvaluator eval(net);
-  SerialMcts search(quick_config(60), eval);
-  const SearchResult r = search.search(g);
+  const SearchResult r = make_serial(quick_config(60), eval)->search(g);
   EXPECT_GE(r.best_action, 0);
   EXPECT_LT(r.best_action, 25);
   EXPECT_GT(r.metrics.eval_requests, 0u);
@@ -248,14 +241,14 @@ TEST(TreeReuse, ReusedSerialSearchIsDeterministic) {
   UniformEvaluator eval(g.action_count(), g.encode_size());
   auto play = [&](std::vector<SearchResult>& out) {
     SearchTree arena;
-    SerialMcts search(quick_config(200), eval, &arena);
+    auto search = make_serial(quick_config(200), eval, &arena);
     auto env = g.clone();
     for (int move = 0; move < 3; ++move) {
-      const SearchResult r = search.search(*env);
+      const SearchResult r = search->search(*env);
       out.push_back(r);
       env->apply(r.best_action);
       arena.advance_root(r.best_action);
-      search.set_reuse_next(true);
+      search->set_reuse_next(true);
     }
   };
   std::vector<SearchResult> a, b;
@@ -286,10 +279,10 @@ TEST(TreeReuse, FewerExpansionsThanFreshTreeAtEqualBudget) {
   // Fixed trajectory so both engines search identical positions.
   std::vector<int> trajectory;
   {
-    SerialMcts scout(cfg, eval);
+    auto scout = make_serial(cfg, eval);
     auto env = g.clone();
     for (int move = 0; move < 4; ++move) {
-      const SearchResult r = scout.search(*env);
+      const SearchResult r = scout->search(*env);
       trajectory.push_back(r.best_action);
       env->apply(r.best_action);
     }
@@ -350,14 +343,131 @@ TEST(TreeReuse, SharedArenaSurvivesSchemeSwitch) {
   EXPECT_NEAR(mass, 1.0f, 1e-4f);
 }
 
+// --- serial search, pinned ----------------------------------------------------
+
+// FNV-1a over the exact bit patterns of an action prior.
+std::uint64_t prior_digest(const std::vector<float>& prior) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float p : prior) {
+    h ^= std::bit_cast<std::uint32_t>(p);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PinnedMove {
+  int best_action;
+  std::uint64_t digest;
+};
+
+// Three moves of serial search on Gomoku 5x5 with tree reuse and root noise
+// over `res`, as (best action, prior digest) per move.
+std::vector<PinnedMove> serial_reuse_trace(const SearchResources& res) {
+  MctsConfig cfg = quick_config(200);
+  cfg.root_noise = true;
+  SearchTree arena;
+  auto search = make_search(Scheme::kSerial, cfg, 1, res, &arena);
+  auto env = Gomoku(5, 4).clone();
+  std::vector<PinnedMove> trace;
+  for (int move = 0; move < 3; ++move) {
+    const SearchResult r = search->search(*env);
+    trace.push_back({r.best_action, prior_digest(r.action_prior)});
+    env->apply(r.best_action);
+    arena.advance_root(r.best_action);
+    search->set_reuse_next(true);
+  }
+  return trace;
+}
+
+// Any change to serial play (rollout order, root noise, tree reuse, the TT
+// graft or the queue path) changes a digest here. The values predate
+// serial search running as the shared-tree driver at N=1. A TT graft and
+// the queue path reproduce a plain evaluator bit for bit, so every trace
+// below must read the same.
+const std::vector<PinnedMove> kPinnedSerialTrace = {
+    {2, 0x4cb6a342c933d459ULL},
+    {14, 0xdb60db2e80376ddcULL},
+    {20, 0xe08949aec6560b7fULL}};
+
+void expect_trace(const std::vector<PinnedMove>& got,
+                  const std::vector<PinnedMove>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].best_action, want[i].best_action) << "move " << i;
+    EXPECT_EQ(got[i].digest, want[i].digest) << "move " << i;
+  }
+}
+
+TEST(SerialSearch, PinnedReuseTraceOverEvaluator) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator eval(g.action_count(), g.encode_size());
+  expect_trace(serial_reuse_trace({.evaluator = &eval}), kPinnedSerialTrace);
+}
+
+TEST(SerialSearch, PinnedReuseTraceOverTaggedQueueWithCacheAndTt) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator eval(g.action_count(), g.encode_size());
+  CpuBackend backend(eval);
+  EvalCache cache;
+  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/1, /*streams=*/1);
+  queue.set_cache(&cache);
+  TtConfig tt_cfg;
+  tt_cfg.enabled = true;
+  TranspositionTable tt(tt_cfg);
+  const SearchResources res{.batch = &queue, .batch_tag = 0, .tt = &tt};
+  expect_trace(serial_reuse_trace(res), kPinnedSerialTrace);
+  // Replayed over the now-warm table and cache: leaves graft instead of
+  // evaluating, the root is a cache hit, and play is unchanged.
+  const std::size_t slots = queue.stats().tag_slots.at(0);
+  EXPECT_GT(slots, 0u);
+  expect_trace(serial_reuse_trace(res), kPinnedSerialTrace);
+  EXPECT_GT(tt.stats().hits, 0u);
+  EXPECT_GT(queue.stats().cache_hits, 0u);
+  EXPECT_LT(queue.stats().tag_slots.at(0), 2 * slots);
+}
+
+// Records every thread evaluate() runs on.
+class ThreadRecordingEvaluator final : public Evaluator {
+ public:
+  explicit ThreadRecordingEvaluator(Evaluator& inner) : inner_(inner) {}
+  int action_count() const override { return inner_.action_count(); }
+  std::size_t input_size() const override { return inner_.input_size(); }
+  void evaluate(const float* input, EvalOutput& out) override {
+    {
+      std::lock_guard lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    inner_.evaluate(input, out);
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  Evaluator& inner_;
+  mutable std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(SerialSearch, EvaluatesOnlyOnTheCallingThread) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator inner(g.action_count(), g.encode_size());
+  ThreadRecordingEvaluator eval(inner);
+  auto search = make_serial(quick_config(100), eval);
+  const SearchResult r = search->search(g);
+  EXPECT_EQ(eval.threads(), std::set{std::this_thread::get_id()});
+  EXPECT_EQ(search->scheme(), Scheme::kSerial);
+  EXPECT_EQ(r.metrics.workers, 1);
+}
+
 TEST(RootNoise, ChangesExplorationButKeepsDistribution) {
   Gomoku g(5, 4);
   UniformEvaluator eval(g.action_count(), g.encode_size());
   MctsConfig with_noise = quick_config(200);
   with_noise.root_noise = true;
   with_noise.noise_fraction = 0.5f;
-  SerialMcts search(with_noise, eval);
-  const SearchResult r = search.search(g);
+  const SearchResult r = make_serial(with_noise, eval)->search(g);
   float mass = 0;
   for (float p : r.action_prior) mass += p;
   EXPECT_NEAR(mass, 1.0f, 1e-4f);

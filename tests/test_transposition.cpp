@@ -300,23 +300,6 @@ TEST(TtStress, SharedTreeOverTinyTable) {
   EXPECT_LE(s.entries, s.capacity);
 }
 
-// Same contention through the coarse-lock mode (lock-order coverage: the
-// coarse tree lock and the TT bucket locks must compose deadlock-free).
-TEST(TtStress, SharedTreeCoarseLockOverTinyTable) {
-  Gomoku g(5, 4);
-  g.apply(12);
-  SyntheticEvaluator eval(g.action_count(), g.encode_size());
-  MctsConfig cfg = serial_config(1000);
-  cfg.lock_mode = LockMode::kCoarse;
-
-  TranspositionTable tt(table_config(8, 2, /*max_edges=*/25));
-  auto search = make_search(Scheme::kSharedTree, cfg, 8,
-                            {.evaluator = &eval, .tt = &tt});
-  const SearchResult r = search->search(g);
-  ASSERT_GE(r.best_action, 0);
-  EXPECT_GT(r.metrics.tt_probes, 0u);
-}
-
 // --- SearchEngine glue ---------------------------------------------------
 
 EngineConfig tt_engine_config(int playouts) {
