@@ -13,9 +13,10 @@
 //                                  manifest.json
 //
 // The stall is injected INSIDE InferenceBackend::compute_batch — exactly
-// where a wedged accelerator or a blocked driver call would sit: the lane
-// stream thread and every service worker awaiting its futures go silent
-// while active, which is the signature the watchdog keys on.
+// where a wedged accelerator or a blocked device call would sit: the thread
+// running the batch (the service worker whose request completed it) and
+// every service worker awaiting that batch go silent while active, which
+// is the signature the watchdog keys on.
 //
 // Usage: flight_recorder [dump_dir] [games_per_workload] [playouts]
 //

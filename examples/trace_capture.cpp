@@ -10,8 +10,10 @@
 //            compactor thread), "tt_graft" instants
 //   eval   — "batch_form" spans (slot-reservation → dispatch; width = the
 //            formation wait Algorithm 4 trades against), "backend_eval"
-//            spans on the lane stream threads, "cache_hit"/"coalesced"
-//            instants, a "cache_clear" instant at the end
+//            spans on the thread that ran each batch (the svc.worker
+//            whose request completed it, else a lane stream thread),
+//            "cache_hit"/"coalesced" instants, a "cache_clear" instant at
+//            the end
 //
 // Usage: trace_capture [out.json] [games_per_workload] [playouts]
 //

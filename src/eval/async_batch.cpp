@@ -68,8 +68,56 @@ AsyncBatchEvaluator::~AsyncBatchEvaluator() {
   batch_queue_.close();
 }
 
+namespace {
+
+// A blocking evaluate()'s meeting point with whichever thread completes its
+// request. It lives on the caller's stack: the completing thread publishes
+// and notifies under the mutex, so the caller cannot leave take() — and
+// destroy this — before the notify is done.
+class Rendezvous {
+ public:
+  void deliver(EvalOutput result) {
+    std::lock_guard lock(mu_);
+    out_ = std::move(result);
+    done_ = true;
+    cv_.notify_one();
+  }
+  EvalOutput take() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [this] { return done_; });
+    return std::move(out_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  EvalOutput out_;
+};
+
+}  // namespace
+
 SubmitOutcome AsyncBatchEvaluator::submit(const float* input, Callback cb,
                                           int tag, std::uint64_t hash) {
+  return enqueue(input, std::move(cb), tag, hash, /*caller_runs=*/nullptr);
+}
+
+EvalOutput AsyncBatchEvaluator::evaluate(const float* input, int tag,
+                                         std::uint64_t hash,
+                                         SubmitOutcome* outcome) {
+  Rendezvous rv;
+  std::unique_ptr<Batch> completed;
+  const SubmitOutcome how =
+      enqueue(input, [&rv](EvalOutput out) { rv.deliver(std::move(out)); },
+              tag, hash, &completed);
+  if (outcome != nullptr) *outcome = how;
+  if (completed) run_batch(std::move(completed));
+  return rv.take();
+}
+
+SubmitOutcome AsyncBatchEvaluator::enqueue(
+    const float* input, Callback cb, int tag, std::uint64_t hash,
+    std::unique_ptr<Batch>* caller_runs) {
   APM_CHECK(cb != nullptr);
   // Request-lifetime origin on the trace clock: batch-wait and end-to-end
   // latency samples for this request are measured from here.
@@ -96,11 +144,20 @@ SubmitOutcome AsyncBatchEvaluator::submit(const float* input, Callback cb,
 
   // Reserve a slot under the lock; copy the planes outside it. The batch
   // may dispatch (threshold crossing, below, or a concurrent flush) before
-  // the copy finishes — the stream thread waits on `ready` for stragglers.
+  // the copy finishes — whoever runs it waits on `ready` for stragglers.
   Batch* batch = nullptr;
   std::size_t slot = 0;
   {
     std::unique_lock lock(mutex_);
+    // This arrival completed the forming batch: a blocking caller takes it
+    // to run once its own slot copy has landed, else the streams get it.
+    const auto complete_batch = [&] {
+      if (caller_runs != nullptr) {
+        *caller_runs = close_locked(DispatchReason::kThreshold);
+      } else {
+        dispatch_locked(lock, DispatchReason::kThreshold);
+      }
+    };
     if (hashed) {
       // Double-check under the queue lock: a completion inserts into the
       // cache before retiring its in-flight entry (the retire needs
@@ -138,7 +195,7 @@ SubmitOutcome AsyncBatchEvaluator::submit(const float* input, Callback cb,
           if (static_cast<int>(pending_->callbacks.size()) +
                   pending_attached_ >=
               threshold_) {
-            dispatch_locked(lock, DispatchReason::kThreshold);
+            complete_batch();
           }
         }
         return SubmitOutcome::kCoalesced;
@@ -172,7 +229,7 @@ SubmitOutcome AsyncBatchEvaluator::submit(const float* input, Callback cb,
     }
     if (static_cast<int>(pending_->callbacks.size()) + pending_attached_ >=
         threshold_) {
-      dispatch_locked(lock, DispatchReason::kThreshold);
+      complete_batch();
     } else if (slot == 0 && stale_flush_us_ > 0.0) {
       flusher_cv_.notify_one();  // a batch opened: arm its deadline
     }
@@ -272,8 +329,8 @@ AsyncBatchEvaluator::acquire_batch_locked() {
   return b;
 }
 
-void AsyncBatchEvaluator::dispatch_locked(std::unique_lock<std::mutex>& lock,
-                                          DispatchReason reason) {
+std::unique_ptr<AsyncBatchEvaluator::Batch> AsyncBatchEvaluator::close_locked(
+    DispatchReason reason) {
   std::unique_ptr<Batch> batch = std::move(pending_);
   const int attached = pending_attached_;
   pending_attached_ = 0;  // attached waiters leave with their primaries
@@ -310,16 +367,113 @@ void AsyncBatchEvaluator::dispatch_locked(std::unique_lock<std::mutex>& lock,
     case DispatchReason::kStale: ++stats_.stale_flushes; break;
     case DispatchReason::kManual: ++stats_.manual_flushes; break;
   }
+  return batch;
+}
+
+void AsyncBatchEvaluator::dispatch_locked(std::unique_lock<std::mutex>& lock,
+                                          DispatchReason reason) {
+  std::unique_ptr<Batch> batch = close_locked(reason);
   lock.unlock();
   const bool ok = batch_queue_.push(std::move(batch));
   APM_CHECK_MSG(ok, "batch queue closed while dispatching");
   lock.lock();
 }
 
+void AsyncBatchEvaluator::run_batch(std::unique_ptr<Batch> batch) {
+  const int n = static_cast<int>(batch->callbacks.size());
+  const auto un = static_cast<std::size_t>(n);
+  // Wait for straggler slot copies (bounded by a memcpy per submitter).
+  while (batch->ready.load(std::memory_order_acquire) != n) {
+    std::this_thread::yield();
+  }
+  std::vector<EvalOutput>& outputs = batch->outputs;
+  std::vector<std::vector<Callback>>& waiters = batch->waiters;
+  std::vector<std::vector<std::uint64_t>>& waiter_enq = batch->waiter_enq;
+  outputs.resize(un);
+  const std::uint64_t eval_start = obs::now_ns();
+  const double modelled_us =
+      backend_.compute_batch(batch->inputs.data(), n, outputs.data());
+  const std::uint64_t eval_end = obs::now_ns();
+  hist_backend_.record(eval_end - eval_start);
+  obs::emit_span("backend_eval", "eval", eval_start, eval_end,
+                 {{"batch", n},
+                  {"modelled_us", modelled_us},
+                  {"lane", name_.c_str()}});
+  waiters.resize(un);
+  waiter_enq.resize(un);
+  std::size_t released = 0;
+  // Publish every result into the cache BEFORE retiring the in-flight
+  // entries: a racing hashed submit() double-checks the cache and then
+  // the registry under mutex_, so with inserts sequenced first it can
+  // never miss both — it either hits the cache here or coalesces onto
+  // the still-registered entry. The inserts themselves take only shard
+  // locks; holding mutex_ across n policy-vector copies would stall
+  // every submitter for the whole span.
+  if (EvalCache* cache = cache_.load(std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < un; ++i) {
+      if (batch->hashes[i] != kNoHash) {
+        cache->insert(batch->hashes[i], outputs[i]);
+      }
+    }
+  }
+  {
+    std::lock_guard lock(mutex_);
+    stats_.modelled_backend_us += modelled_us;
+    for (std::size_t i = 0; i < un; ++i) {
+      const std::uint64_t h = batch->hashes[i];
+      if (h == kNoHash) continue;
+      // Waiters are taken regardless of the (possibly detached) cache —
+      // their wake-up depends only on the registry.
+      auto it = inflight_waiters_.find(h);
+      if (it != inflight_waiters_.end()) {
+        waiters[i] = std::move(it->second.waiters);
+        waiter_enq[i] = std::move(it->second.waiter_enq_ns);
+        inflight_waiters_.erase(it);
+        released += waiters[i].size();
+      }
+    }
+  }
+  // End-to-end request latency (submit entry → results ready), one
+  // sample per slot owner and per coalesced waiter, before callbacks so
+  // caller continuation cost is excluded.
+  const std::uint64_t done_ns = obs::now_ns();
+  for (std::size_t i = 0; i < un; ++i) {
+    const std::uint64_t e = batch->enq_ns[i];
+    hist_request_.record(done_ns >= e ? done_ns - e : 0);
+    for (const std::uint64_t w : waiter_enq[i]) {
+      hist_request_.record(done_ns >= w ? done_ns - w : 0);
+    }
+  }
+  // Callbacks run outside any lock (CP.22); each coalesced waiter gets
+  // its own copy, the slot-owning primary consumes the original.
+  for (std::size_t i = 0; i < un; ++i) {
+    for (Callback& waiter : waiters[i]) {
+      waiter(EvalOutput(outputs[i]));
+    }
+    batch->callbacks[i](std::move(outputs[i]));
+  }
+  {
+    // Recycle the buffer for a future forming batch.
+    std::lock_guard lock(mutex_);
+    batch->callbacks.clear();
+    batch->hashes.clear();
+    batch->enq_ns.clear();
+    waiters.clear();
+    waiter_enq.clear();
+    batch->ready.store(0, std::memory_order_relaxed);
+    free_batches_.push_back(std::move(batch));
+  }
+  // Waiters count toward in_flight_ exactly like slot owners, so drain()
+  // cannot return before every coalesced request has been woken.
+  const std::size_t completed = un + released;
+  if (in_flight_.fetch_sub(completed, std::memory_order_acq_rel) ==
+      completed) {
+    std::lock_guard lock(mutex_);
+    drained_cv_.notify_all();
+  }
+}
+
 void AsyncBatchEvaluator::stream_loop() {
-  std::vector<EvalOutput> outputs;
-  std::vector<std::vector<Callback>> waiters;
-  std::vector<std::vector<std::uint64_t>> waiter_enq;
   bool thread_named = false;
   // Watchdog heartbeat: beaten once per dispatched batch; the queue pop is
   // marked idle so a starved lane never reads as a stalled backend.
@@ -338,93 +492,8 @@ void AsyncBatchEvaluator::stream_loop() {
       obs::set_thread_name((name_ + ".stream").c_str());
       thread_named = true;
     }
-    std::unique_ptr<Batch> batch = std::move(*batch_opt);
-    const int n = static_cast<int>(batch->callbacks.size());
-    // Wait for straggler slot copies (bounded by a memcpy per submitter).
-    while (batch->ready.load(std::memory_order_acquire) != n) {
-      std::this_thread::yield();
-    }
-    outputs.resize(static_cast<std::size_t>(n));
-    const std::uint64_t eval_start = obs::now_ns();
-    const double modelled_us =
-        backend_.compute_batch(batch->inputs.data(), n, outputs.data());
-    const std::uint64_t eval_end = obs::now_ns();
-    hist_backend_.record(eval_end - eval_start);
+    run_batch(std::move(*batch_opt));
     hb->beat();  // one unit of progress = one backend batch
-    obs::emit_span("backend_eval", "eval", eval_start, eval_end,
-                   {{"batch", n},
-                    {"modelled_us", modelled_us},
-                    {"lane", name_.c_str()}});
-    waiters.assign(static_cast<std::size_t>(n), {});
-    waiter_enq.assign(static_cast<std::size_t>(n), {});
-    std::size_t released = 0;
-    // Publish every result into the cache BEFORE retiring the in-flight
-    // entries: a racing hashed submit() double-checks the cache and then
-    // the registry under mutex_, so with inserts sequenced first it can
-    // never miss both — it either hits the cache here or coalesces onto
-    // the still-registered entry. The inserts themselves take only shard
-    // locks; holding mutex_ across n policy-vector copies would stall
-    // every submitter for the whole span.
-    if (EvalCache* cache = cache_.load(std::memory_order_acquire)) {
-      for (int i = 0; i < n; ++i) {
-        if (batch->hashes[i] != kNoHash) {
-          cache->insert(batch->hashes[i], outputs[i]);
-        }
-      }
-    }
-    {
-      std::lock_guard lock(mutex_);
-      stats_.modelled_backend_us += modelled_us;
-      for (int i = 0; i < n; ++i) {
-        const std::uint64_t h = batch->hashes[i];
-        if (h == kNoHash) continue;
-        // Waiters are taken regardless of the (possibly detached) cache —
-        // their wake-up depends only on the registry.
-        auto it = inflight_waiters_.find(h);
-        if (it != inflight_waiters_.end()) {
-          waiters[i] = std::move(it->second.waiters);
-          waiter_enq[i] = std::move(it->second.waiter_enq_ns);
-          inflight_waiters_.erase(it);
-          released += waiters[i].size();
-        }
-      }
-    }
-    // End-to-end request latency (submit entry → results ready), one
-    // sample per slot owner and per coalesced waiter, before callbacks so
-    // caller continuation cost is excluded.
-    const std::uint64_t done_ns = obs::now_ns();
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t e = batch->enq_ns[static_cast<std::size_t>(i)];
-      hist_request_.record(done_ns >= e ? done_ns - e : 0);
-      for (const std::uint64_t w : waiter_enq[static_cast<std::size_t>(i)]) {
-        hist_request_.record(done_ns >= w ? done_ns - w : 0);
-      }
-    }
-    // Callbacks run outside any lock (CP.22); each coalesced waiter gets
-    // its own copy, the slot-owning primary consumes the original.
-    for (int i = 0; i < n; ++i) {
-      for (Callback& waiter : waiters[i]) {
-        waiter(EvalOutput(outputs[i]));
-      }
-      batch->callbacks[i](std::move(outputs[i]));
-    }
-    {
-      // Recycle the buffer for a future forming batch.
-      std::lock_guard lock(mutex_);
-      batch->callbacks.clear();
-      batch->hashes.clear();
-      batch->enq_ns.clear();
-      batch->ready.store(0, std::memory_order_relaxed);
-      free_batches_.push_back(std::move(batch));
-    }
-    // Waiters count toward in_flight_ exactly like slot owners, so drain()
-    // cannot return before every coalesced request has been woken.
-    const std::size_t completed = static_cast<std::size_t>(n) + released;
-    if (in_flight_.fetch_sub(completed, std::memory_order_acq_rel) ==
-        completed) {
-      std::lock_guard lock(mutex_);
-      drained_cv_.notify_all();
-    }
   }
 }
 

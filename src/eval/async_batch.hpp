@@ -2,19 +2,32 @@
 // The accelerator queue of §3.3: DNN inference requests accumulate until a
 // threshold B is reached, then the whole batch is submitted to the backend.
 //
-// `num_streams` parallel dispatcher threads play the role of the paper's
-// N/B CUDA streams: while one stream is executing a batch, further requests
-// can form (and dispatch) the next batch, overlapping accelerator compute
-// with in-tree operations on the master thread.
+// Who runs a batch. The request whose arrival completes the forming batch
+// decides:
+//   * a blocking evaluate() runs the batch on its own calling thread
+//     (caller-runs), so K search threads blocked on K batches keep K cores
+//     computing — the paper's Eq. 3, where each shared-tree worker pays its
+//     own T_DNN on its own core;
+//   * an asynchronous submit() hands the batch to the `num_streams` stream
+//     threads, which play the role of the paper's N/B CUDA streams: while
+//     one stream executes a batch, the submitter keeps issuing requests
+//     (LocalTree's master overlapping compute with in-tree work).
+// The stale-flush timer, flush(), drain() and set_batch_threshold() also
+// dispatch to the stream threads. So `num_streams` bounds only
+// asynchronous, timer and manual dispatch; blocking callers bring their
+// own thread. Every dispatcher runs a batch through one routine (straggler
+// wait, backend call, cache publish, in-flight retire, wake-ups, buffer
+// recycling), so the result of a position never depends on which thread
+// computed it or on what else shared its batch.
 //
-// submit() reserves a slot in the forming batch under the lock, then copies
-// the request's planes into the batch's contiguous input buffer *outside*
-// the lock (concurrent submitters copy in parallel; a per-batch readiness
-// counter lets the stream thread wait for in-flight copies before handing
-// the buffer to the backend as-is). Each input is therefore copied exactly
-// once end-to-end and the mutex never covers a memcpy. Completed buffers
-// are recycled through a small free list, keeping the steady state
-// allocation-free.
+// Reserving a slot takes the lock; the request's planes are copied into
+// the batch's contiguous input buffer *outside* it (concurrent submitters
+// copy in parallel; a per-batch readiness counter lets whoever runs the
+// batch wait for in-flight copies before handing the buffer to the backend
+// as-is). Each input is therefore copied exactly once end-to-end and the
+// mutex never covers a memcpy. Completed buffers are recycled through a
+// small free list, keeping the steady state allocation-free; a blocking
+// caller waits on a rendezvous on its own stack, not a shared promise.
 //
 // A stale-flush timer bounds the wait for a partial batch (needed at the
 // tail of a move when fewer than B requests remain — e.g. the last
@@ -126,9 +139,14 @@ class AsyncBatchEvaluator {
   AsyncBatchEvaluator(const AsyncBatchEvaluator&) = delete;
   AsyncBatchEvaluator& operator=(const AsyncBatchEvaluator&) = delete;
 
-  // Copies `input` (input_size floats) into the forming batch buffer. `cb`
-  // runs on a stream thread once the containing batch completes; it must
-  // not block for long and must not call back into submit() (CP.22).
+  // Copies `input` (input_size floats) into the forming batch buffer and
+  // returns without waiting; a batch this arrival completes goes to the
+  // stream threads. `cb` runs once the containing batch completes, on
+  // whichever thread runs it: a stream thread, or a thread blocked in
+  // evaluate() whose request completed the batch. It never runs inside
+  // this call, except on a cache hit. Callbacks must not block for long
+  // and must not call back into this queue (CP.22): they may run inside
+  // another search's evaluate().
   // `tag` >= 0 attributes the request to a submitter (a MatchService game
   // slot) in the stats; negative = untagged.
   //
@@ -139,8 +157,20 @@ class AsyncBatchEvaluator {
   SubmitOutcome submit(const float* input, Callback cb, int tag = -1,
                        std::uint64_t hash = kNoHash);
 
-  // Future-returning convenience (shared-tree workers block on these).
-  // `outcome`, when non-null, receives how the request was served.
+  // Blocking evaluation (shared-tree workers, serial search). Reserves a
+  // slot exactly like submit() — cache hits and coalescing included — and
+  // when this arrival completes the forming batch, runs that batch on the
+  // calling thread, completing every other request in it too. Otherwise
+  // waits for whoever completes the batch (another evaluate() caller, or a
+  // stream thread via an asynchronous submit, the stale-flush timer or a
+  // flush). `outcome`, when non-null, receives how the request was served.
+  EvalOutput evaluate(const float* input, int tag = -1,
+                      std::uint64_t hash = kNoHash,
+                      SubmitOutcome* outcome = nullptr);
+
+  // Future-returning submit(): the batch it completes still goes to the
+  // stream threads. `outcome`, when non-null, receives how the request was
+  // served.
   std::future<EvalOutput> submit_future(const float* input, int tag = -1,
                                         std::uint64_t hash = kNoHash,
                                         SubmitOutcome* outcome = nullptr);
@@ -182,7 +212,13 @@ class AsyncBatchEvaluator {
     std::lock_guard lock(mutex_);
     return threshold_;
   }
+  // Stream threads serving asynchronous, timer and manual dispatch.
   int num_streams() const { return static_cast<int>(streams_.size()); }
+  // Requests accepted and not yet completed, coalesced waiters included;
+  // 0 once drain() returns with no submitter racing it.
+  std::size_t in_flight() const {
+    return in_flight_.load(std::memory_order_acquire);
+  }
   // The stale-flush deadline (µs after a batch's first slot); 0 when the
   // timer is disabled.
   // Multi-producer users (MatchService) require it for liveness at game
@@ -212,9 +248,10 @@ class AsyncBatchEvaluator {
   // One forming/in-flight batch: a contiguous input buffer sized for the
   // full threshold up front (so concurrent submitters can copy into
   // disjoint slots without reallocation), the per-request callbacks
-  // (mutated only under the lock), and the count of completed slot copies.
-  // Heap-allocated so a submitter can keep writing its slot while the
-  // batch is already dispatched. Recycled via free_batches_.
+  // (mutated only under the lock), the count of completed slot copies, and
+  // the completion buffers of whoever runs it. Heap-allocated so a
+  // submitter can keep writing its slot while the batch is already
+  // dispatched. Recycled via free_batches_.
   struct Batch {
     std::vector<float> inputs;       // capacity threshold * input_size
     std::vector<Callback> callbacks;
@@ -227,13 +264,33 @@ class AsyncBatchEvaluator {
     // the queue lock at slot reservation.
     std::vector<std::uint64_t> enq_ns;
     std::atomic<int> ready{0};       // slots fully copied
+    // run_batch working vectors, recycled with the buffer whichever thread
+    // runs it: per-slot outputs, and per-slot coalesced waiters (with their
+    // enqueue stamps) taken off the registry.
+    std::vector<EvalOutput> outputs;
+    std::vector<std::vector<Callback>> waiters;
+    std::vector<std::vector<std::uint64_t>> waiter_enq;
   };
 
   enum class DispatchReason { kThreshold, kStale, kManual };
 
+  // submit() and evaluate() share this: serves a cache hit, coalesces, or
+  // reserves a slot and copies `input` into it. A batch this arrival
+  // completes is handed back through `caller_runs` when non-null (the
+  // caller runs it), else pushed to the stream threads.
+  SubmitOutcome enqueue(const float* input, Callback cb, int tag,
+                        std::uint64_t hash,
+                        std::unique_ptr<Batch>* caller_runs);
+  // Detaches the forming batch and records its dispatch statistics.
+  std::unique_ptr<Batch> close_locked(DispatchReason reason);
+  // close_locked(), then hands the batch to the stream threads (drops and
+  // retakes the lock around the push).
   void dispatch_locked(std::unique_lock<std::mutex>& lock,
                        DispatchReason reason);
   std::unique_ptr<Batch> acquire_batch_locked();
+  // Computes a dispatched batch and completes every request it carries;
+  // runs on a stream thread or on the evaluate() caller that closed it.
+  void run_batch(std::unique_ptr<Batch> batch);
   void stream_loop();
   void flusher_loop(const std::stop_token& stop);
 

@@ -45,7 +45,7 @@ double CpuBackend::compute_batch(const float* inputs, int n,
     // Track the best observed per-sample cost: with the batched im2col +
     // blocked-GEMM path, larger batches amortise packing and epilogues, so
     // the first (often batch-1) observation badly overestimates steady-state
-    // batched throughput. CAS-min: concurrent stream threads race here.
+    // batched throughput. CAS-min: concurrent batch runners race here.
     const double per = us / n;
     double cur = amortized_single_us_.load(std::memory_order_relaxed);
     while ((cur < 0.0 || per < cur) &&

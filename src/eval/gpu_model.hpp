@@ -90,7 +90,7 @@ class CpuBackend final : public InferenceBackend {
  private:
   Evaluator& eval_;
   // Best observed per-sample latency (µs); drives model_batch_us. Atomic:
-  // concurrent stream threads of an AsyncBatchEvaluator update it.
+  // every thread running an AsyncBatchEvaluator batch updates it.
   std::atomic<double> amortized_single_us_{-1.0};
 };
 

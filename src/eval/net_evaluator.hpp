@@ -8,7 +8,7 @@
 //
 // An optional intra-op thread pool shards each conv GEMM's row-blocks
 // (ParallelGemm), so a single large batch from AsyncBatchEvaluator uses
-// multiple cores even when only one stream thread drives the backend. The
+// multiple cores even when only one thread drives the backend. The
 // pool is dedicated to GEMM work — it is never handed MCTS tasks, so the
 // fork-join inside gemm cannot deadlock against tree-search jobs.
 

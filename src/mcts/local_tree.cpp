@@ -154,6 +154,10 @@ SearchResult LocalTreeMcts::search(const Game& env) {
           if (tr == TtProbeResult::kPending) ++metrics.tt_pending;
           metrics.expand_seconds += tt_phase.elapsed_seconds();
         }
+        // Sending the request (encode, legal actions, submit) is evaluation
+        // time, as in SharedTree's eval phase; waits for completions add
+        // the rest. Untimed, it left LocalTree's phases short of its move.
+        Timer send;
         game->encode(input.data());
         Completion c;
         c.node = outcome.node;
@@ -207,6 +211,7 @@ SearchResult LocalTreeMcts::search(const Game& env) {
             completions.push(std::move(done));
           });
         }
+        metrics.eval_seconds += send.elapsed_seconds();
         break;
       }
     }

@@ -23,10 +23,12 @@ void MctsSearch::prepare_root(const Game& env, bool reuse) {
   env.encode(input.data());
   const std::uint64_t key = env.eval_key();
   EvalOutput out;
-  if (batch_ != nullptr) {
+  if (batch_ != nullptr && batch_tag() >= 0) {
+    out = batch_->evaluate(input.data(), batch_tag(), key);
+  } else if (batch_ != nullptr) {
     SubmitOutcome how = SubmitOutcome::kQueued;
     auto fut = batch_->submit_future(input.data(), batch_tag(), key, &how);
-    if (batch_tag() < 0 && how == SubmitOutcome::kQueued) batch_->flush();
+    if (how == SubmitOutcome::kQueued) batch_->flush();
     out = fut.get();
   } else {
     eval_->evaluate(input.data(), out);

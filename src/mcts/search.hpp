@@ -106,8 +106,9 @@ class MctsSearch {
   // and expanded, with noise. Over an untagged queue this driver is the
   // root's sole producer, so the forming batch is flushed instead of
   // waiting for a fill that cannot come; on a tagged (multi-producer)
-  // queue a flush would dispatch other games' forming batches, and the
-  // stale timer bounds the root's wait instead. Root dedupe is not counted
+  // queue a flush would dispatch other games' forming batches, so the root
+  // is a blocking evaluate() — run on this thread when it completes a
+  // batch, else bounded by the stale timer. Root dedupe is not counted
   // in SearchMetrics: cache_hits must stay a subset of the leaf-only
   // eval_requests. Root hits still show in the queue and cache counters.
   void prepare_root(const Game& env, bool reuse);

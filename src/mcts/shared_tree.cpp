@@ -89,9 +89,10 @@ void SharedTreeMcts::worker_loop(const Game& env,
     if (batch_ != nullptr) {
       // Leaf requests never flush: batches form across workers (threshold
       // crossing) or across games sharing the queue, else via the stale
-      // timer.
+      // timer. The worker whose request completes a batch computes it on
+      // its own thread, so N workers keep N cores on inference.
       SubmitOutcome how = SubmitOutcome::kQueued;
-      out = batch_->submit_future(input.data(), batch_tag(), key, &how).get();
+      out = batch_->evaluate(input.data(), batch_tag(), key, &how);
       if (how == SubmitOutcome::kCacheHit) ++stats.cache_hits;
       if (how == SubmitOutcome::kCoalesced) ++stats.coalesced_evals;
     } else {
@@ -149,7 +150,7 @@ SearchResult SharedTreeMcts::search(const Game& env) {
     // Sole producer: settle the queue before reading the delta. On a
     // tagged multi-producer queue drain() would stall on other games'
     // traffic — and is unnecessary, since our workers block on their own
-    // futures, so nothing of ours is still in flight here.
+    // requests, so nothing of ours is still in flight here.
     if (batch_tag() < 0) batch_->drain();
     finish_batch_metrics(*batch_, batch_before, metrics, reuse);
   }

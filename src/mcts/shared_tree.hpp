@@ -24,10 +24,12 @@
 //  * CPU mode — each worker calls the Evaluator on its own thread
 //    ("each worker is assigned a separate CPU thread for performing one
 //     node evaluation", §5.3).
-//  * Accelerator mode — workers submit to an AsyncBatchEvaluator and block
-//    on the future; the queue's threshold is set to N by the caller, since
-//    "the communication batch size is always set to the number of threads"
-//    for the shared-tree method (§3.3).
+//  * Accelerator mode — workers block in AsyncBatchEvaluator::evaluate();
+//    the queue's threshold is set to N by the caller, since "the
+//    communication batch size is always set to the number of threads" for
+//    the shared-tree method (§3.3). The worker whose request completes a
+//    batch runs it on its own thread, so on a CPU lane N workers compute
+//    on N cores as in Eq. 3 instead of queueing behind the lane's streams.
 //
 // Lock discipline verdict (bench/ablation_locks before the coarse mode was
 // deleted; 400 playouts of Gomoku 9x9 at a 30 µs synthetic evaluation, move

@@ -181,12 +181,17 @@ class SearchTree {
   // Approximate resident bytes (for the cache-fit analysis of Eq. 5).
   std::size_t memory_bytes() const;
 
-  static constexpr std::size_t kNodeShift = 12;  // 4096-node chunks
+  // Chunks are value-initialised when first used, so their size is the
+  // resident floor of every arena (two per tree, one tree per game). A
+  // 128-playout Gomoku 9x9 move or a 1600-playout Connect4 move holds about
+  // 10K edges, so small chunks keep a served game's trees near that size;
+  // the directories are sized to keep the 4M-node / 64M-edge ceilings.
+  static constexpr std::size_t kNodeShift = 10;  // 1024-node chunks
   static constexpr std::size_t kNodeMask = (1u << kNodeShift) - 1;
-  static constexpr std::size_t kEdgeShift = 16;  // 65536-edge chunks
+  static constexpr std::size_t kEdgeShift = 13;  // 8192-edge chunks
   static constexpr std::size_t kEdgeMask = (1u << kEdgeShift) - 1;
-  static constexpr std::size_t kMaxNodeChunks = 1024;  // ≤ 4M nodes
-  static constexpr std::size_t kMaxEdgeChunks = 1024;  // ≤ 64M edges
+  static constexpr std::size_t kMaxNodeChunks = 4096;  // ≤ 4M nodes
+  static constexpr std::size_t kMaxEdgeChunks = 8192;  // ≤ 64M edges
 
  private:
   struct Arena {

@@ -2,8 +2,9 @@
 // Stall watchdog + flight recorder (ISSUE 10; design note in DESIGN_obs.md).
 //
 // The failure modes this catches are the ones parallel-MCTS serving
-// actually exhibits: a backend hang freezes a lane's stream thread with
-// every service worker blocked on its futures, a lost wakeup parks a
+// actually exhibits: a backend hang freezes the thread running a batch (a
+// service worker that completed it, or a lane's stream thread) with every
+// other worker blocked on its requests, a lost wakeup parks a
 // worker forever, an SLO breach burns quietly until someone pulls stats —
 // and in all three cases the evidence (trace ring, telemetry frames,
 // retune history) is gone by the time anyone asks. The watchdog watches

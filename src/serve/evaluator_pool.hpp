@@ -94,6 +94,11 @@ struct ModelSpec {
   std::string name;
   InferenceBackend* backend = nullptr;
   int batch_threshold = 4;
+  // Stream threads of the lane's queue. They run the batches that
+  // asynchronous submissions (LocalTree), the stale-flush timer, flushes
+  // and retunes dispatch. A blocking search (serial and SharedTree
+  // engines) runs each batch its request completes on its own service
+  // worker, so this does not bound how many batches compute at once.
   int num_streams = 1;
   // Required > 0: pooled queues are multi-producer (liveness at game tails)
   double stale_flush_us = 1500.0;

@@ -11,7 +11,13 @@
 // evaluations to a shared AsyncBatchEvaluator — so batches form *across*
 // games (Batch MCTS, Cazenave 2021) and the accelerator sees
 // threshold-sized batches even when every individual game is a starved
-// single-stream producer.
+// single-stream producer. Who computes a batch follows the queue's
+// caller-runs rule (eval/async_batch.hpp): a serial or SharedTree engine
+// blocks on its request, and the service worker whose request completes
+// a batch runs it, so W workers keep up to W forward passes going on a
+// CPU lane (at B = 1, each game's worker runs its own). Only LocalTree's
+// asynchronous requests and timer/retune dispatches use the lane's stream
+// threads.
 //
 // Multi-model routing: a service can serve heterogeneous workloads. Each
 // ServiceWorkload declares (game prototype, model name, slot count,

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "eval/async_batch.hpp"
+#include "eval/eval_cache.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
@@ -304,6 +308,366 @@ TEST(AsyncBatch, ConcurrentSubmittersAllServed) {
   queue.drain();
   EXPECT_EQ(done.load(), kThreads * kPerThread);
   EXPECT_EQ(queue.stats().submitted, 200u);
+}
+
+// --- who runs a batch ---------------------------------------------------
+
+// A CpuBackend that records the thread of every compute_batch call and, when
+// held, parks each call on entry until release().
+class ProbeBackend final : public InferenceBackend {
+ public:
+  explicit ProbeBackend(Evaluator& eval) : inner_(eval) {}
+  int action_count() const override { return inner_.action_count(); }
+  std::size_t input_size() const override { return inner_.input_size(); }
+  double model_batch_us(int n) const override {
+    return inner_.model_batch_us(n);
+  }
+  double compute_batch(const float* inputs, int n, EvalOutput* outs) override {
+    {
+      std::unique_lock lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    return inner_.compute_batch(inputs, n, outs);
+  }
+
+  void hold() {
+    std::lock_guard lock(mu_);
+    held_ = true;
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  void wait_entered(int calls) {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= calls; });
+  }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  CpuBackend inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int entered_ = 0;
+  std::vector<std::thread::id> threads_;
+};
+
+EvalOutput direct(Evaluator& eval, const float* input) {
+  EvalOutput out;
+  eval.evaluate(input, out);
+  return out;
+}
+
+void expect_same(const EvalOutput& got, const EvalOutput& want) {
+  EXPECT_EQ(got.policy, want.policy);
+  EXPECT_EQ(got.value, want.value);
+}
+
+// Spins until `pred` holds (the queue exposes no event to wait on).
+template <typename Pred>
+void spin_until(Pred pred) {
+  while (!pred()) std::this_thread::yield();
+}
+
+TEST(CallerRuns, ThresholdOneEvaluatesOnTheCallingThread) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  AsyncBatchEvaluator queue(backend, /*threshold=*/1, /*streams=*/1,
+                            /*stale_flush_us=*/0.0);
+  const float input[2] = {1, 2};
+  SubmitOutcome how = SubmitOutcome::kCacheHit;
+  expect_same(queue.evaluate(input, -1, AsyncBatchEvaluator::kNoHash, &how),
+              direct(eval, input));
+  EXPECT_EQ(how, SubmitOutcome::kQueued);
+  EXPECT_EQ(backend.threads(),
+            std::vector<std::thread::id>{std::this_thread::get_id()});
+  const BatchQueueStats stats = queue.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.threshold_dispatches, 1u);
+  EXPECT_EQ(queue.in_flight(), 0u);
+}
+
+TEST(CallerRuns, SecondBlockingCallerRunsTheBatchForBoth) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  AsyncBatchEvaluator queue(backend, /*threshold=*/2, /*streams=*/1,
+                            /*stale_flush_us=*/0.0);
+  const float first_in[2] = {1, 2};
+  const float second_in[2] = {3, 4};
+  EvalOutput first_out;
+  std::jthread first([&] { first_out = queue.evaluate(first_in); });
+  spin_until([&] { return queue.stats().submitted == 1; });
+  const EvalOutput second_out = queue.evaluate(second_in);
+  first.join();
+  // The arrival that filled the batch ran it; each caller got its own slot.
+  EXPECT_EQ(backend.threads(),
+            std::vector<std::thread::id>{std::this_thread::get_id()});
+  expect_same(first_out, direct(eval, first_in));
+  expect_same(second_out, direct(eval, second_in));
+  EXPECT_NE(first_out.policy, second_out.policy);
+  EXPECT_EQ(queue.stats().batches, 1u);
+  EXPECT_EQ(queue.stats().full_batches, 1u);
+}
+
+TEST(CallerRuns, SubmitCallbackNeverRunsOnItsOwnThreadButOnCacheHit) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  EvalCache cache;
+  AsyncBatchEvaluator queue(backend, /*threshold=*/1, /*streams=*/1,
+                            /*stale_flush_us=*/1000.0);
+  queue.set_cache(&cache);
+  const auto self = std::this_thread::get_id();
+  const float input[2] = {1, 2};
+  constexpr std::uint64_t kHash = 0x51;
+
+  // Completing a batch asynchronously hands it to a stream thread.
+  std::mutex mu;
+  std::thread::id cb_thread;
+  EXPECT_EQ(queue.submit(
+                input,
+                [&](EvalOutput) {
+                  std::lock_guard lock(mu);
+                  cb_thread = std::this_thread::get_id();
+                },
+                -1, kHash),
+            SubmitOutcome::kQueued);
+  queue.drain();
+  {
+    std::lock_guard lock(mu);
+    EXPECT_NE(cb_thread, self);
+  }
+  ASSERT_EQ(backend.threads().size(), 1u);
+  EXPECT_NE(backend.threads()[0], self);
+
+  // A resident position completes synchronously on the submitting thread.
+  std::thread::id hit_thread;
+  EXPECT_EQ(queue.submit(
+                input,
+                [&](EvalOutput) { hit_thread = std::this_thread::get_id(); },
+                -1, kHash),
+            SubmitOutcome::kCacheHit);
+  EXPECT_EQ(hit_thread, self);
+  EXPECT_EQ(backend.threads().size(), 1u);
+}
+
+TEST(CallerRuns, BlockingCallerRunsAnAsynchronousSlotsCallback) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  AsyncBatchEvaluator queue(backend, /*threshold=*/2, /*streams=*/1,
+                            /*stale_flush_us=*/0.0);
+  const float async_in[2] = {1, 2};
+  const float blocking_in[2] = {3, 4};
+  std::mutex mu;
+  std::thread::id cb_thread;
+  EvalOutput async_out;
+  queue.submit(async_in, [&](EvalOutput out) {
+    std::lock_guard lock(mu);
+    cb_thread = std::this_thread::get_id();
+    async_out = std::move(out);
+  });
+  std::thread::id runner;
+  EvalOutput blocking_out;
+  std::jthread blocking([&] {
+    runner = std::this_thread::get_id();
+    blocking_out = queue.evaluate(blocking_in);
+  });
+  blocking.join();
+  queue.drain();
+  std::lock_guard lock(mu);
+  // The blocking caller filled the batch, so it ran it — the asynchronous
+  // slot's callback included (the CP.22 contract: callbacks run inside
+  // someone else's search).
+  EXPECT_EQ(cb_thread, runner);
+  EXPECT_EQ(backend.threads(), std::vector<std::thread::id>{runner});
+  expect_same(async_out, direct(eval, async_in));
+  expect_same(blocking_out, direct(eval, blocking_in));
+}
+
+TEST(CallerRuns, UnfilledBatchIsStaleFlushedToAStreamThread) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  AsyncBatchEvaluator queue(backend, /*threshold=*/4, /*streams=*/1,
+                            /*stale_flush_us=*/2000.0);
+  const float input[2] = {5, 6};
+  expect_same(queue.evaluate(input), direct(eval, input));
+  ASSERT_EQ(backend.threads().size(), 1u);
+  EXPECT_NE(backend.threads()[0], std::this_thread::get_id());
+  EXPECT_EQ(queue.stats().stale_flushes, 1u);
+  EXPECT_EQ(queue.stats().threshold_dispatches, 0u);
+}
+
+TEST(CallerRuns, InlineCompletionPublishesThenWakesCoalescedWaiters) {
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  EvalCache cache;
+  AsyncBatchEvaluator queue(backend, /*threshold=*/1, /*streams=*/1,
+                            /*stale_flush_us=*/1000.0);
+  queue.set_cache(&cache);
+  const float input[2] = {7, 8};
+  constexpr std::uint64_t kHash = 0x77;
+  const EvalOutput want = direct(eval, input);
+
+  backend.hold();
+  std::thread::id runner;
+  EvalOutput runner_out;
+  std::jthread primary([&] {
+    runner = std::this_thread::get_id();
+    runner_out = queue.evaluate(input, 0, kHash);
+  });
+  backend.wait_entered(1);  // the primary runs its batch and is parked
+
+  // While it computes, a blocking and an asynchronous duplicate coalesce.
+  SubmitOutcome blocking_how = SubmitOutcome::kQueued;
+  EvalOutput blocking_out;
+  std::jthread blocking([&] {
+    blocking_out = queue.evaluate(input, 1, kHash, &blocking_how);
+  });
+  spin_until([&] { return queue.stats().coalesced == 1; });
+  std::mutex mu;
+  std::thread::id waiter_thread;
+  bool resident_at_wake = false;
+  EvalOutput waiter_out;
+  EXPECT_EQ(queue.submit(
+                input,
+                [&](EvalOutput out) {
+                  EvalOutput probe;
+                  const bool hit = cache.lookup(kHash, probe, false);
+                  std::lock_guard lock(mu);
+                  waiter_thread = std::this_thread::get_id();
+                  resident_at_wake = hit;
+                  waiter_out = std::move(out);
+                },
+                2, kHash),
+            SubmitOutcome::kCoalesced);
+
+  backend.release();
+  primary.join();
+  blocking.join();
+  queue.drain();
+
+  EXPECT_EQ(backend.threads(), std::vector<std::thread::id>{runner});
+  EXPECT_EQ(blocking_how, SubmitOutcome::kCoalesced);
+  expect_same(runner_out, want);
+  expect_same(blocking_out, want);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(waiter_thread, runner);
+    EXPECT_TRUE(resident_at_wake);
+    expect_same(waiter_out, want);
+  }
+  EXPECT_EQ(queue.stats().submitted, 1u);
+  EXPECT_EQ(queue.stats().batches, 1u);
+  EXPECT_EQ(queue.in_flight(), 0u);
+
+  // Hashed submitters racing inline completions must coalesce or hit, so
+  // each position takes exactly one slot: the result reaches the cache
+  // before its hash leaves the in-flight registry. Many short rounds, each
+  // on a fresh position, widen the race window.
+  constexpr int kRounds = 300;
+  std::atomic<std::uint64_t> racing{0};
+  std::atomic<bool> stop{false};
+  {
+    std::vector<std::jthread> racers;
+    for (int t = 0; t < 2; ++t) {
+      racers.emplace_back([&, t] {
+        while (!stop.load()) {
+          const std::uint64_t h = racing.load();
+          if (h != 0) queue.submit(input, [](EvalOutput) {}, 3 + t, h);
+        }
+      });
+    }
+    for (int round = 1; round <= kRounds; ++round) {
+      racing.store(kHash + static_cast<std::uint64_t>(round));
+      queue.evaluate(input, 0, kHash + static_cast<std::uint64_t>(round));
+    }
+    stop.store(true);
+  }
+  queue.drain();
+  EXPECT_EQ(queue.stats().submitted, 1u + kRounds);
+  EXPECT_EQ(queue.in_flight(), 0u);
+}
+
+TEST(CallerRuns, MixedDispatchOnAHashedQueueDrainsToZero) {
+  // Blocking callers, an asynchronous submitter and the stale-flush timer
+  // on one hashed queue: every request completes with its own position's
+  // result, whichever thread ran its batch, and drain() leaves nothing in
+  // flight. Every fourth request reuses one of a few shared positions, so
+  // cache hits and coalescing ride along; the last blocking caller ends
+  // alone, so its batches can only leave by the timer.
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  EvalCache cache;
+  AsyncBatchEvaluator queue(backend, /*threshold=*/3, /*streams=*/2,
+                            /*stale_flush_us=*/300.0);
+  queue.set_cache(&cache);
+  constexpr int kBlocking = 3, kRounds = 60, kSolo = 5;
+  const auto position = [](int producer, int i) {
+    return i % 4 == 0 ? (i / 4) % 6 : 100 * (producer + 1) + i;
+  };
+  const auto input_of = [](int p) {
+    return std::array<float, 2>{static_cast<float>(p), 0.25f * p};
+  };
+  const auto hash_of = [](int p) {
+    return 0x1000u + static_cast<std::uint64_t>(p);
+  };
+  std::atomic<int> wrong{0};
+  std::atomic<int> async_done{0};
+  std::atomic<int> others_left{kBlocking};  // blocking 0..1 + the submitter
+  const auto check = [&](const float* in, const EvalOutput& out) {
+    if (out.policy != direct(eval, in).policy) wrong.fetch_add(1);
+  };
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kBlocking; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kRounds; ++i) {
+          const auto in = input_of(position(t, i));
+          check(in.data(), queue.evaluate(in.data(), t,
+                                          hash_of(position(t, i))));
+        }
+        if (t + 1 < kBlocking) {
+          others_left.fetch_sub(1);
+          return;
+        }
+        spin_until([&] { return others_left.load() == 0; });
+        for (int i = 0; i < kSolo; ++i) {
+          const auto in = input_of(1000 + i);
+          check(in.data(), queue.evaluate(in.data(), t, hash_of(1000 + i)));
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        const int p = position(kBlocking, i);
+        const auto in = input_of(p);
+        queue.submit(
+            in.data(),
+            [&, in](EvalOutput out) {
+              check(in.data(), out);
+              async_done.fetch_add(1);
+            },
+            kBlocking, hash_of(p));
+      }
+      others_left.fetch_sub(1);
+    });
+  }
+  queue.drain();
+  EXPECT_EQ(queue.in_flight(), 0u);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(async_done.load(), kRounds);
+  const BatchQueueStats stats = queue.stats();
+  EXPECT_EQ(stats.submitted + stats.cache_hits + stats.coalesced,
+            static_cast<std::size_t>((kBlocking + 1) * kRounds + kSolo));
+  EXPECT_GT(stats.cache_hits + stats.coalesced, 0u);
+  EXPECT_GE(stats.stale_flushes, static_cast<std::size_t>(kSolo));
 }
 
 }  // namespace

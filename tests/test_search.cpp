@@ -459,6 +459,19 @@ TEST(SerialSearch, EvaluatesOnlyOnTheCallingThread) {
   EXPECT_EQ(eval.threads(), std::set{std::this_thread::get_id()});
   EXPECT_EQ(search->scheme(), Scheme::kSerial);
   EXPECT_EQ(r.metrics.workers, 1);
+
+  // Over a tagged threshold-1 queue each request, the root's included,
+  // completes its own batch, so the search runs it on the calling thread
+  // and the queue's stream thread never computes.
+  ThreadRecordingEvaluator queued(inner);
+  CpuBackend backend(queued);
+  AsyncBatchEvaluator queue(backend, /*batch_threshold=*/1, /*streams=*/1);
+  auto over_queue = make_search(Scheme::kSerial, quick_config(100), 1,
+                                {.batch = &queue, .batch_tag = 0});
+  const SearchResult rq = over_queue->search(g);
+  EXPECT_EQ(queued.threads(), std::set{std::this_thread::get_id()});
+  EXPECT_EQ(queue.stats().tag_slots.at(0), rq.metrics.eval_requests + 1);
+  EXPECT_EQ(rq.action_prior, r.action_prior);
 }
 
 TEST(RootNoise, ChangesExplorationButKeepsDistribution) {
