@@ -23,8 +23,11 @@
 //    local@32/64 with tuned B on GPU, the V-curve in B) are reproduced.
 //
 // Every bench prints both so readers can see exactly what drives which.
+//
+// JsonWriter below is the one writer of the BENCH_*.json row files.
 
 #include <cstdio>
+#include <string>
 
 #include "eval/net_evaluator.hpp"
 #include "nn/policy_value_net.hpp"
@@ -81,5 +84,37 @@ inline void print_banner(const char* what) {
 }
 
 inline const int kWorkerCounts[] = {1, 2, 4, 8, 16, 32, 64};
+
+// Owns one BENCH_*.json file: a JSON array of {"name", "value", "unit"}
+// rows, written as they are added and closed when the writer goes out of
+// scope.
+class JsonWriter {
+ public:
+  explicit JsonWriter(const char* path) : f_(std::fopen(path, "w")) {
+    if (f_ != nullptr) std::fprintf(f_, "[");
+  }
+  ~JsonWriter() {
+    if (f_ == nullptr) return;
+    std::fprintf(f_, "\n]\n");
+    std::fclose(f_);
+  }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  // False when the file could not be opened (the caller reports and exits).
+  bool ok() const { return f_ != nullptr; }
+
+  void entry(const std::string& name, double value, const char* unit) {
+    std::fprintf(f_,
+                 "%s\n  {\"name\": \"%s\", \"value\": %.4f, \"unit\": "
+                 "\"%s\"}",
+                 first_ ? "" : ",", name.c_str(), value, unit);
+    first_ = false;
+  }
+
+ private:
+  std::FILE* f_;
+  bool first_ = true;
+};
 
 }  // namespace apm::bench

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "eval/gpu_model.hpp"
 #include "games/connect4.hpp"
 #include "games/gomoku.hpp"
@@ -43,17 +44,6 @@
 namespace {
 
 using namespace apm;
-
-struct JsonWriter {
-  std::FILE* f;
-  bool first = true;
-
-  void entry(const std::string& name, double value, const char* unit) {
-    std::fprintf(f, "%s\n  {\"name\": \"%s\", \"value\": %.4f, \"unit\": \"%s\"}",
-                 first ? "" : ",", name.c_str(), value, unit);
-    first = false;
-  }
-};
 
 struct RunResult {
   ServiceStats stats;
@@ -164,13 +154,11 @@ TtRunResult run_tt_game(const Game& game, int playouts, bool tt_on) {
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_cache.json";
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
+  bench::JsonWriter json(out_path);
+  if (!json.ok()) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "[");
-  JsonWriter json{f};
 
   std::printf(
       "=== eval cache: cross-game dedupe at the shared lane queue ===\n"
@@ -344,8 +332,6 @@ int main(int argc, char** argv) {
   json.entry("tt_results_identical_on_off", tt_identical ? 1.0 : 0.0, "bool");
   json.entry("cache_results_identical_on_off", results_identical ? 1.0 : 0.0,
              "bool");
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
 
   std::printf(
       "\ncheck: identical per-game results on/off: %s; strictly fewer unique "

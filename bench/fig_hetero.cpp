@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "eval/gpu_model.hpp"
 #include "games/connect4.hpp"
 #include "games/gomoku.hpp"
@@ -39,17 +40,6 @@
 namespace {
 
 using namespace apm;
-
-struct JsonWriter {
-  std::FILE* f;
-  bool first = true;
-
-  void entry(const std::string& name, double value, const char* unit) {
-    std::fprintf(f, "%s\n  {\"name\": \"%s\", \"value\": %.4f, \"unit\": \"%s\"}",
-                 first ? "" : ",", name.c_str(), value, unit);
-    first = false;
-  }
-};
 
 struct LaneRig {
   LaneRig(const Game& g, std::string model_name)
@@ -122,13 +112,11 @@ std::string short_name(const std::string& model) {
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_hetero.json";
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
+  bench::JsonWriter json(out_path);
+  if (!json.ok()) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "[");
-  JsonWriter json{f};
 
   std::printf(
       "=== heterogeneous serving: per-model lanes + aggregate threshold "
@@ -204,8 +192,6 @@ int main(int argc, char** argv) {
   table.print("per-lane fill / dedupe / thresholds vs model count x slots");
 
   json.entry("hetero_total_retunes", total_retunes, "count");
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
 
   std::printf(
       "\ncheck: lanes with K >= 2 slots form cross-game batches (fill > 1) "

@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_common.hpp"
 #include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
 #include "games/gomoku.hpp"
@@ -63,17 +64,6 @@
 namespace {
 
 using namespace apm;
-
-struct JsonWriter {
-  std::FILE* f;
-  bool first = true;
-
-  void entry(const std::string& name, double value, const char* unit) {
-    std::fprintf(f, "%s\n  {\"name\": \"%s\", \"value\": %.4f, \"unit\": \"%s\"}",
-                 first ? "" : ",", name.c_str(), value, unit);
-    first = false;
-  }
-};
 
 struct RunResult {
   ServiceStats stats;
@@ -133,13 +123,11 @@ RunResult run_service(const Game& game, int concurrent_games, bool cached,
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_service.json";
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
+  bench::JsonWriter json(out_path);
+  if (!json.ok()) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(f, "[");
-  JsonWriter json{f};
 
   std::printf(
       "=== service throughput: cross-game batch formation ===\n"
@@ -343,8 +331,6 @@ int main(int argc, char** argv) {
     json.entry("service_sampler_overhead_frac", sampler_overhead, "fraction");
   }
 
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
 
   std::printf(
       "\ncheck: K=1 fill ~1.0 (starved single-game producer; every batch a "

@@ -8,7 +8,6 @@
 #include "eval/async_batch.hpp"
 #include "support/spinlock.hpp"
 #include "support/sync_queue.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -42,15 +41,6 @@ void BM_MutexUncontended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MutexUncontended);
-
-void BM_ThreadPoolRoundTrip(benchmark::State& state) {
-  ThreadPool pool(2);
-  for (auto _ : state) {
-    pool.submit([] {});
-    pool.wait_idle();
-  }
-}
-BENCHMARK(BM_ThreadPoolRoundTrip);
 
 void BM_AsyncBatchSubmitDrain(benchmark::State& state) {
   const int threshold = static_cast<int>(state.range(0));

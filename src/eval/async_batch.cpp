@@ -48,7 +48,9 @@ AsyncBatchEvaluator::AsyncBatchEvaluator(InferenceBackend& backend,
       stale_flush_us_(stale_flush_us),
       name_(name.empty() ? std::string("eval") : std::move(name)) {
   APM_CHECK(batch_threshold >= 1);
-  APM_CHECK(num_streams >= 1);
+  APM_CHECK(num_streams >= 0);
+  APM_CHECK_MSG(num_streams > 0 || stale_flush_us <= 0.0,
+                "the stale-flush timer dispatches to stream threads");
   streams_.reserve(static_cast<std::size_t>(num_streams));
   for (int i = 0; i < num_streams; ++i) {
     streams_.emplace_back([this] { stream_loop(); });
@@ -372,6 +374,8 @@ std::unique_ptr<AsyncBatchEvaluator::Batch> AsyncBatchEvaluator::close_locked(
 
 void AsyncBatchEvaluator::dispatch_locked(std::unique_lock<std::mutex>& lock,
                                           DispatchReason reason) {
+  APM_CHECK_MSG(!streams_.empty(),
+                "asynchronous dispatch on a queue with no stream thread");
   std::unique_ptr<Batch> batch = close_locked(reason);
   lock.unlock();
   const bool ok = batch_queue_.push(std::move(batch));

@@ -15,8 +15,12 @@
 // The stale-flush timer, flush(), drain() and set_batch_threshold() also
 // dispatch to the stream threads. So `num_streams` bounds only
 // asynchronous, timer and manual dispatch; blocking callers bring their
-// own thread. Every dispatcher runs a batch through one routine (straggler
-// wait, backend call, cache publish, in-flight retire, wake-ups, buffer
+// own thread. A queue that only blocking callers use needs no stream at
+// all: at threshold 1 every evaluate() completes and runs its own batch, so
+// a 0-stream queue starts no thread and adds only uncontended lock
+// round-trips per request (the search drivers wrap a bare Evaluator this
+// way). Every dispatcher runs a batch through one routine (straggler wait,
+// backend call, cache publish, in-flight retire, wake-ups, buffer
 // recycling), so the result of a position never depends on which thread
 // computed it or on what else shared its batch.
 //
@@ -127,8 +131,12 @@ class AsyncBatchEvaluator {
   // uncached evaluation.)
   static constexpr std::uint64_t kNoHash = 0;
 
-  // batch_threshold >= 1; num_streams >= 1. stale_flush_us <= 0 disables
-  // the timer (then only threshold crossings and flush()/drain() dispatch).
+  // batch_threshold >= 1. stale_flush_us <= 0 disables the timer (then
+  // only threshold crossings and flush()/drain() dispatch). num_streams may
+  // be 0 only without the timer: such a queue serves blocking evaluate()
+  // callers alone, and any asynchronous dispatch on it (a submit() that
+  // completes a batch, or a flush, drain or retune that finds one forming)
+  // fails an APM_CHECK instead of waiting for a thread that never comes.
   // `name` labels this queue (lane) in trace events and stream-thread
   // names; empty defaults to "eval".
   AsyncBatchEvaluator(InferenceBackend& backend, int batch_threshold,

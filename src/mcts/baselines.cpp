@@ -1,5 +1,6 @@
 #include "mcts/baselines.hpp"
 
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -9,9 +10,12 @@
 
 namespace apm {
 
+// The base's arena and queue stay unused: each worker grows its own tree.
 RootParallelMcts::RootParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval)
-    : MctsSearch(cfg, nullptr, &eval, nullptr), workers_(workers) {
+    : MctsSearch(cfg, nullptr, SearchQueue(eval, 0)),
+      workers_(workers),
+      eval_(eval) {
   APM_CHECK(workers >= 1);
 }
 
@@ -29,7 +33,7 @@ SearchResult RootParallelMcts::search(const Game& env) {
         local.num_playouts = per_worker;
         local.seed = cfg_.seed + static_cast<std::uint64_t>(w) * 7919 + 1;
         partials[w] = make_search(Scheme::kSerial, local, 1,
-                                  {.evaluator = eval_})
+                                  {.evaluator = &eval_})
                           ->search(env);
       });
     }
@@ -67,9 +71,8 @@ SearchResult RootParallelMcts::search(const Game& env) {
 
 LeafParallelMcts::LeafParallelMcts(MctsConfig cfg, int workers,
                                    Evaluator& eval, SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree, &eval, nullptr),
-      workers_(workers),
-      pool_(static_cast<std::size_t>(workers)) {
+    : MctsSearch(cfg, shared_tree, SearchQueue(eval, workers)),
+      workers_(workers) {
   APM_CHECK(workers >= 1);
 }
 
@@ -85,6 +88,7 @@ SearchResult LeafParallelMcts::search(const Game& env) {
   std::vector<float> input(env.encode_size());
 
   int playouts_done = 0;
+  std::vector<std::future<EvalOutput>> pending;
   std::vector<EvalOutput> outs(static_cast<std::size_t>(workers_));
   while (playouts_done < cfg_.num_playouts) {
     auto game = env.clone();
@@ -109,11 +113,10 @@ SearchResult LeafParallelMcts::search(const Game& env) {
     game->encode(input.data());
     phase.reset();
     for (int w = 0; w < dup; ++w) {
-      pool_.submit([this, &input, &outs, w] {
-        eval_->evaluate(input.data(), outs[w]);
-      });
+      pending.push_back(batch_.submit_future(input.data()));
     }
-    pool_.wait_idle();
+    for (int w = 0; w < dup; ++w) outs[w] = pending[w].get();
+    pending.clear();
     metrics.eval_seconds += phase.elapsed_seconds();
     metrics.eval_requests += static_cast<std::size_t>(dup);
 

@@ -13,10 +13,14 @@
 //    of diverse evaluation coverage"), which is exactly the effect the
 //    paper calls out. Each duplicate evaluation is backed up and counted
 //    as a playout, matching the fixed per-move iteration budget.
+//
+// Evaluation: leaf-parallel wraps its Evaluator in a private threshold-1
+// queue with N stream threads (SearchQueue) and submits a leaf's N
+// duplicates to it, so they run on the N streams while the selecting
+// thread waits. Root-parallel evaluates nothing itself: it hands its
+// Evaluator to the N serial searches it runs, each on its own thread.
 
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
-#include "support/thread_pool.hpp"
 
 namespace apm {
 
@@ -32,6 +36,7 @@ class RootParallelMcts final : public MctsSearch {
 
  private:
   int workers_;
+  Evaluator& eval_;
 };
 
 class LeafParallelMcts final : public MctsSearch {
@@ -45,7 +50,6 @@ class LeafParallelMcts final : public MctsSearch {
 
  private:
   int workers_;
-  ThreadPool pool_;
 };
 
 }  // namespace apm

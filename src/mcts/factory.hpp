@@ -11,13 +11,18 @@
 
 namespace apm {
 
-// Evaluation resources for a search. Exactly one of `evaluator` (CPU
-// inference) or `batch` (accelerator queue) must be set for the serial,
-// shared-tree and local-tree schemes (which prefer `batch` when both are
-// set); the baselines require `evaluator`. `batch_tag` (>= 0) tags every
-// request this search submits to `batch`, so a shared multi-producer queue
-// can attribute batch occupancy per game slot (MatchService); a tagged
-// queue is shared, so its owner tunes its threshold.
+// Evaluation resources for a search. The serial, shared-tree and
+// local-tree schemes take `batch` (an accelerator queue or a service lane)
+// or `evaluator` (preferring `batch` when both are set); the baselines
+// require `evaluator`. Either way every tree driver evaluates through a
+// batch queue: a bare `evaluator` is wrapped once in a private, cache-less,
+// threshold-1 queue (SearchQueue, mcts/search.hpp) whose blocking requests
+// run on the calling thread and whose asynchronous ones (LocalTree,
+// LeafParallel) run on the driver's `workers` stream threads. `batch_tag`
+// (>= 0) tags every request this search submits to `batch`, so a shared
+// multi-producer queue can attribute batch occupancy per game slot
+// (MatchService); a tagged queue is shared, so its owner tunes its
+// threshold.
 struct SearchResources {
   Evaluator* evaluator = nullptr;
   AsyncBatchEvaluator* batch = nullptr;

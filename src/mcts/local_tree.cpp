@@ -25,16 +25,11 @@ struct Completion {
 
 LocalTreeMcts::LocalTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
                              SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree, &eval, nullptr),
-      workers_(workers),
-      pool_(std::make_unique<ThreadPool>(static_cast<std::size_t>(workers))) {
-  APM_CHECK(workers >= 1);
-}
+    : LocalTreeMcts(cfg, workers, SearchQueue(eval, workers), shared_tree) {}
 
-LocalTreeMcts::LocalTreeMcts(MctsConfig cfg, int workers,
-                             AsyncBatchEvaluator& batch,
+LocalTreeMcts::LocalTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                              SearchTree* shared_tree)
-    : MctsSearch(cfg, shared_tree, nullptr, &batch), workers_(workers) {
+    : MctsSearch(cfg, shared_tree, std::move(queue)), workers_(workers) {
   APM_CHECK(workers >= 1);
 }
 
@@ -45,8 +40,7 @@ SearchResult LocalTreeMcts::search(const Game& env) {
   metrics.workers = workers_;
   Timer move_timer;
 
-  BatchQueueStats batch_before;
-  if (batch_ != nullptr) batch_before = batch_->stats();
+  const BatchQueueStats batch_before = batch_.stats();
 
   prepare_root(env, reuse);
 
@@ -159,58 +153,35 @@ SearchResult LocalTreeMcts::search(const Game& env) {
         // the rest. Untimed, it left LocalTree's phases short of its move.
         Timer send;
         game->encode(input.data());
-        Completion c;
-        c.node = outcome.node;
-        c.key = key;
-        c.depth = outcome.depth;
-        c.announced = announced;
-        game->legal_actions(c.legal);
+        std::vector<int> legal;
+        game->legal_actions(legal);
         ++metrics.eval_requests;
         ++issued;
         ++in_flight;
-        if (batch_ != nullptr) {
-          const NodeId node_id = outcome.node;
-          const std::int32_t depth = outcome.depth;
-          auto legal = std::move(c.legal);
-          // A cache hit runs the callback synchronously right here: the
-          // completion lands in the queue and is processed on the next
-          // loop pass — the master never blocks on a resident position.
-          // A transposition *within this tree* (two nodes, same position)
-          // coalesces onto its own in-flight request the same way a
-          // cross-game duplicate does.
-          const SubmitOutcome how = batch_->submit(
-              input.data(),
-              [&completions, node_id, key, depth, announced,
-               legal = std::move(legal)](EvalOutput out) mutable {
-                Completion done;
-                done.node = node_id;
-                done.legal = std::move(legal);
-                done.out = std::move(out);
-                done.key = key;
-                done.depth = depth;
-                done.announced = announced;
-                completions.push(std::move(done));
-              },
-              batch_tag(), key);
-          if (how == SubmitOutcome::kCacheHit) ++metrics.cache_hits;
-          if (how == SubmitOutcome::kCoalesced) ++metrics.coalesced_evals;
-        } else {
-          auto state = std::make_shared<std::vector<float>>(input);
-          const NodeId node_id = outcome.node;
-          const std::int32_t depth = outcome.depth;
-          auto legal = std::move(c.legal);
-          pool_->submit([this, &completions, state, node_id, key, depth,
-                         announced, legal = std::move(legal)]() mutable {
-            Completion done;
-            done.node = node_id;
-            done.legal = std::move(legal);
-            done.key = key;
-            done.depth = depth;
-            done.announced = announced;
-            eval_->evaluate(state->data(), done.out);
-            completions.push(std::move(done));
-          });
-        }
+        const NodeId node_id = outcome.node;
+        const std::int32_t depth = outcome.depth;
+        // A cache hit runs the callback synchronously right here: the
+        // completion lands in the queue and is processed on the next loop
+        // pass — the master never blocks on a resident position. A
+        // transposition *within this tree* (two nodes, same position)
+        // coalesces onto its own in-flight request the same way a
+        // cross-game duplicate does.
+        const SubmitOutcome how = batch_.submit(
+            input.data(),
+            [&completions, node_id, key, depth, announced,
+             legal = std::move(legal)](EvalOutput out) mutable {
+              Completion done;
+              done.node = node_id;
+              done.legal = std::move(legal);
+              done.out = std::move(out);
+              done.key = key;
+              done.depth = depth;
+              done.announced = announced;
+              completions.push(std::move(done));
+            },
+            batch_tag(), key);
+        if (how == SubmitOutcome::kCacheHit) ++metrics.cache_hits;
+        if (how == SubmitOutcome::kCoalesced) ++metrics.coalesced_evals;
         metrics.eval_seconds += send.elapsed_seconds();
         break;
       }
@@ -221,19 +192,14 @@ SearchResult LocalTreeMcts::search(const Game& env) {
     // only — on a tagged multi-producer queue other games keep filling
     // batches and the stale timer bounds the stragglers' wait, while a
     // flush here would dispatch those games' forming batches early.
-    if (batch_ != nullptr && batch_tag() < 0 && issued >= total &&
-        in_flight > 0) {
-      batch_->flush();
-    }
+    if (batch_tag() < 0 && issued >= total && in_flight > 0) batch_.flush();
   }
 
   APM_CHECK(in_flight == 0);
 
-  if (batch_ != nullptr) {
-    // The tail flush above already dispatched our stragglers, so no drain
-    // is needed before reading the sole-producer delta.
-    finish_batch_metrics(*batch_, batch_before, metrics, reuse);
-  }
+  // The tail flush above already dispatched our stragglers, so no drain is
+  // needed before reading the sole-producer delta.
+  finish_batch_metrics(batch_, batch_before, metrics, reuse);
 
   metrics.playouts = cfg_.num_playouts;
   metrics.move_seconds = move_timer.elapsed_seconds();

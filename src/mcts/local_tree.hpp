@@ -2,13 +2,12 @@
 // Local-tree parallel DNN-MCTS (Algorithm 3, §3.1.2).
 //
 // One master thread owns the complete tree and performs ALL in-tree
-// operations (selection, expansion, backup); N worker threads (or the
-// accelerator queue's streams) execute only node evaluations. Master and
-// workers communicate through FIFO queues: evaluation requests flow out,
-// (node, policy, value) completions flow back. Because only the master
-// touches the tree, the tree stays cache-resident and lock-free — the
-// scheme's advantage — while all in-tree work is serialised — its cost
-// (Eq. 5).
+// operations (selection, expansion, backup); the batch queue's stream
+// threads execute only node evaluations. Master and streams communicate
+// through FIFO queues: evaluation requests flow out, (node, policy, value)
+// completions flow back. Because only the master touches the tree, the
+// tree stays cache-resident and lock-free — the scheme's advantage — while
+// all in-tree work is serialised — its cost (Eq. 5).
 //
 // The master keeps issuing selections while the worker pool has capacity
 // (Algorithm 3 line 12: "if number of tasks in thread pool >= number of
@@ -17,27 +16,26 @@
 // virtual loss) and processes a completion first — it cannot wait, since
 // it is itself the consumer of completions.
 //
-// Evaluation flavours mirror the shared-tree scheme:
-//  * CPU mode — a dedicated pool of N threads, one evaluation per task.
-//  * Accelerator mode — an AsyncBatchEvaluator with tunable threshold B
-//    and N/B streams (§3.3); B is chosen by Algorithm 4 at config time.
+// Evaluation: the master submits every request asynchronously and keeps
+// selecting while the queue's stream threads compute.
+//  * Over a bare Evaluator the driver wraps it in a private threshold-1
+//    queue with N stream threads (SearchQueue): Algorithm 3's N dedicated
+//    evaluation threads, one evaluation per batch.
+//  * Over an accelerator queue the threshold B is tunable and the queue
+//    has N/B streams (§3.3); B is chosen by Algorithm 4 at config time.
 
-#include <memory>
-
-#include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
-#include "support/thread_pool.hpp"
 
 namespace apm {
 
 class LocalTreeMcts final : public MctsSearch {
  public:
-  // CPU mode: spawns a private pool of `workers` evaluation threads.
+  // Over a bare evaluator, wrapped in a private queue with `workers`
+  // stream threads.
   LocalTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
                 SearchTree* shared_tree = nullptr);
-  // Accelerator mode: requests go to the batch queue.
-  LocalTreeMcts(MctsConfig cfg, int workers, AsyncBatchEvaluator& batch,
+  // Over a batch queue.
+  LocalTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                 SearchTree* shared_tree = nullptr);
 
   SearchResult search(const Game& env) override;
@@ -46,7 +44,6 @@ class LocalTreeMcts final : public MctsSearch {
 
  private:
   int workers_;
-  std::unique_ptr<ThreadPool> pool_;  // CPU mode only
 };
 
 }  // namespace apm

@@ -7,6 +7,13 @@
 
 namespace apm {
 
+SearchQueue::SearchQueue(Evaluator& eval, int streams)
+    : backend_(std::make_unique<CpuBackend>(eval)),
+      owned_(std::make_unique<AsyncBatchEvaluator>(
+          *backend_, /*batch_threshold=*/1, streams,
+          /*stale_flush_us=*/0.0, "search")),
+      queue_(owned_.get()) {}
+
 void MctsSearch::prepare_root(const Game& env, bool reuse) {
   InTreeOps ops(tree_, cfg_);
   if (reuse) {
@@ -23,15 +30,13 @@ void MctsSearch::prepare_root(const Game& env, bool reuse) {
   env.encode(input.data());
   const std::uint64_t key = env.eval_key();
   EvalOutput out;
-  if (batch_ != nullptr && batch_tag() >= 0) {
-    out = batch_->evaluate(input.data(), batch_tag(), key);
-  } else if (batch_ != nullptr) {
-    SubmitOutcome how = SubmitOutcome::kQueued;
-    auto fut = batch_->submit_future(input.data(), batch_tag(), key, &how);
-    if (how == SubmitOutcome::kQueued) batch_->flush();
-    out = fut.get();
+  if (batch_tag() >= 0 || batch_.batch_threshold() == 1) {
+    out = batch_.evaluate(input.data(), batch_tag(), key);
   } else {
-    eval_->evaluate(input.data(), out);
+    SubmitOutcome how = SubmitOutcome::kQueued;
+    auto fut = batch_.submit_future(input.data(), batch_tag(), key, &how);
+    if (how == SubmitOutcome::kQueued) batch_.flush();
+    out = fut.get();
   }
   ops.note_eval(tree_.root(), key, out.value);
   ops.expand(tree_.root(), env, out.policy, cfg_.root_noise ? &rng_ : nullptr);

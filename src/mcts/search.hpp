@@ -15,9 +15,14 @@
 // AND across runtime scheme switches. A driver only reuses the prepared
 // tree when the owner arms set_reuse_next(); a plain search() call still
 // starts from scratch, so direct users are unaffected.
+//
+// Evaluation: every tree driver evaluates through one AsyncBatchEvaluator,
+// a caller's queue or a private one around a bare Evaluator (SearchQueue
+// below), so each driver has a single evaluation path.
 
 #include <memory>
 
+#include "eval/async_batch.hpp"
 #include "eval/evaluator.hpp"
 #include "games/game.hpp"
 #include "mcts/config.hpp"
@@ -26,6 +31,29 @@
 #include "support/rng.hpp"
 
 namespace apm {
+
+// The batch queue a tree driver evaluates through. Built from a caller's
+// AsyncBatchEvaluator (implicitly, so drivers take either) it borrows that
+// queue. Built from a bare Evaluator it owns a private one over a
+// CpuBackend: no cache, threshold 1, no stale timer, and `streams` stream
+// threads, 0 for drivers that only block in evaluate(). Nothing else holds
+// the private queue, so it stays at threshold 1: a blocking evaluate()
+// completes and runs its own batch on the calling thread, like a direct
+// Evaluator call, and an asynchronous submit() runs on a stream thread.
+class SearchQueue {
+ public:
+  SearchQueue(AsyncBatchEvaluator& queue) : queue_(&queue) {}  // NOLINT
+  SearchQueue(Evaluator& eval, int streams);
+
+  AsyncBatchEvaluator& get() const { return *queue_; }
+  // True for the private queue over a bare Evaluator.
+  bool owned() const { return owned_ != nullptr; }
+
+ private:
+  std::unique_ptr<CpuBackend> backend_;
+  std::unique_ptr<AsyncBatchEvaluator> owned_;
+  AsyncBatchEvaluator* queue_;
+};
 
 class MctsSearch {
  public:
@@ -64,15 +92,12 @@ class MctsSearch {
   TranspositionTable* transposition() const { return tt_; }
 
  protected:
-  // Exactly one of `eval` (synchronous inference) or `batch` (the
-  // accelerator queue) is set.
-  MctsSearch(MctsConfig cfg, SearchTree* shared_tree, Evaluator* eval,
-             AsyncBatchEvaluator* batch)
+  MctsSearch(MctsConfig cfg, SearchTree* shared_tree, SearchQueue queue)
       : cfg_(cfg),
         owned_tree_(shared_tree ? nullptr : std::make_unique<SearchTree>()),
         tree_(shared_tree ? *shared_tree : *owned_tree_),
-        eval_(eval),
-        batch_(batch),
+        queue_(std::move(queue)),
+        batch_(queue_.get()),
         rng_(cfg.seed) {}
 
   // Consumes the reuse flag; true only when the prepared root is actually
@@ -103,19 +128,22 @@ class MctsSearch {
 
   // Readies the root for this move's rollouts: a reused root only gets
   // fresh Dirichlet noise (self-play); a fresh root is claimed, evaluated
-  // and expanded, with noise. Over an untagged queue this driver is the
-  // root's sole producer, so the forming batch is flushed instead of
-  // waiting for a fill that cannot come; on a tagged (multi-producer)
-  // queue a flush would dispatch other games' forming batches, so the root
-  // is a blocking evaluate() — run on this thread when it completes a
-  // batch, else bounded by the stale timer. Root dedupe is not counted
-  // in SearchMetrics: cache_hits must stay a subset of the leaf-only
-  // eval_requests. Root hits still show in the queue and cache counters.
+  // and expanded, with noise. The root is a blocking evaluate() wherever
+  // that completes its own batch or another producer's traffic will: at
+  // threshold 1 (the private queue included) it runs on this thread, and
+  // on a tagged (multi-producer) queue, where a flush would dispatch other
+  // games' forming batches, it is bounded by the stale timer. Only an
+  // untagged queue above threshold 1 (an engine-owned accelerator queue)
+  // leaves this driver the root's sole producer with a batch that cannot
+  // fill, so there the root is submitted and the batch flushed. Root dedupe
+  // is not counted in SearchMetrics: cache_hits must stay a subset of the
+  // leaf-only eval_requests. Root hits still show in the queue and cache
+  // counters.
   void prepare_root(const Game& env, bool reuse);
 
-  // Shared epilogue for drivers running over an AsyncBatchEvaluator: fills
-  // metrics.batch with this move's global-queue delta when this driver is
-  // the sole producer (untagged), or with just its own submission count
+  // Shared epilogue of the tree drivers: fills metrics.batch with this
+  // move's queue delta when this driver is the sole producer (untagged, the
+  // private queue included), or with just its own submission count
   // when tagged on a shared multi-producer queue — there the global
   // counters mix in other games' traffic, and ServiceStats attributes
   // occupancy via the tags instead. `before` is the stats snapshot taken
@@ -144,8 +172,8 @@ class MctsSearch {
   std::unique_ptr<SearchTree> owned_tree_;
   SearchTree& tree_;
   TranspositionTable* tt_ = nullptr;
-  Evaluator* eval_;
-  AsyncBatchEvaluator* batch_;
+  SearchQueue queue_;
+  AsyncBatchEvaluator& batch_;  // queue_.get()
   Rng rng_;  // root noise
 
  private:

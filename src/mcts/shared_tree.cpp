@@ -11,18 +11,11 @@ namespace apm {
 
 SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
                                SearchTree* shared_tree, Scheme label)
-    : MctsSearch(cfg, shared_tree, &eval, nullptr),
-      workers_(workers),
-      label_(label) {
-  APM_CHECK(workers >= 1);
-  APM_CHECK(label == Scheme::kSharedTree ||
-            (label == Scheme::kSerial && workers == 1));
-}
+    : SharedTreeMcts(cfg, workers, SearchQueue(eval, 0), shared_tree, label) {}
 
-SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers,
-                               AsyncBatchEvaluator& batch,
+SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                                SearchTree* shared_tree, Scheme label)
-    : MctsSearch(cfg, shared_tree, nullptr, &batch),
+    : MctsSearch(cfg, shared_tree, std::move(queue)),
       workers_(workers),
       label_(label) {
   APM_CHECK(workers >= 1);
@@ -31,8 +24,10 @@ SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers,
   // Leaf requests never flush, so with one in-flight request a
   // below-threshold batch only ever dispatches via the stale timer or a
   // concurrent producer. Require the timer — without it this configuration
-  // is a silent deadlock, not a slow path.
-  APM_CHECK_MSG(workers > 1 || batch.stale_flush_us() > 0.0,
+  // is a silent deadlock, not a slow path. The private queue is exempt:
+  // it stays at threshold 1, where every request completes its own batch.
+  APM_CHECK_MSG(workers > 1 || batch_.stale_flush_us() > 0.0 ||
+                    queue_.owned(),
                 "one-worker search over a batch queue needs the stale-flush "
                 "timer (a single in-flight request cannot fill a batch)");
 }
@@ -86,18 +81,14 @@ void SharedTreeMcts::worker_loop(const Game& env,
 
     phase.reset();
     game->encode(input.data());
-    if (batch_ != nullptr) {
-      // Leaf requests never flush: batches form across workers (threshold
-      // crossing) or across games sharing the queue, else via the stale
-      // timer. The worker whose request completes a batch computes it on
-      // its own thread, so N workers keep N cores on inference.
-      SubmitOutcome how = SubmitOutcome::kQueued;
-      out = batch_->evaluate(input.data(), batch_tag(), key, &how);
-      if (how == SubmitOutcome::kCacheHit) ++stats.cache_hits;
-      if (how == SubmitOutcome::kCoalesced) ++stats.coalesced_evals;
-    } else {
-      eval_->evaluate(input.data(), out);
-    }
+    // Leaf requests never flush: batches form across workers (threshold
+    // crossing) or across games sharing the queue, else via the stale
+    // timer. The worker whose request completes a batch computes it on its
+    // own thread, so N workers keep N cores on inference.
+    SubmitOutcome how = SubmitOutcome::kQueued;
+    out = batch_.evaluate(input.data(), batch_tag(), key, &how);
+    if (how == SubmitOutcome::kCacheHit) ++stats.cache_hits;
+    if (how == SubmitOutcome::kCoalesced) ++stats.coalesced_evals;
     ++stats.eval_requests;
     stats.eval_seconds += phase.elapsed_seconds();
 
@@ -126,8 +117,7 @@ SearchResult SharedTreeMcts::search(const Game& env) {
   metrics.workers = workers_;
   Timer move_timer;
 
-  BatchQueueStats batch_before;
-  if (batch_ != nullptr) batch_before = batch_->stats();
+  const BatchQueueStats batch_before = batch_.stats();
 
   prepare_root(env, reuse);
 
@@ -146,14 +136,12 @@ SearchResult SharedTreeMcts::search(const Game& env) {
   }  // joins the helpers
 
   for (const SearchMetrics& s : stats) metrics.add_rollouts(s);
-  if (batch_ != nullptr) {
-    // Sole producer: settle the queue before reading the delta. On a
-    // tagged multi-producer queue drain() would stall on other games'
-    // traffic — and is unnecessary, since our workers block on their own
-    // requests, so nothing of ours is still in flight here.
-    if (batch_tag() < 0) batch_->drain();
-    finish_batch_metrics(*batch_, batch_before, metrics, reuse);
-  }
+  // Sole producer: settle the queue before reading the delta. On a tagged
+  // multi-producer queue drain() would stall on other games' traffic — and
+  // is unnecessary, since our workers block on their own requests, so
+  // nothing of ours is still in flight here.
+  if (batch_tag() < 0) batch_.drain();
+  finish_batch_metrics(batch_, batch_before, metrics, reuse);
 
   metrics.playouts = cfg_.num_playouts;
   metrics.move_seconds = move_timer.elapsed_seconds();

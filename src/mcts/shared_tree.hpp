@@ -17,19 +17,21 @@
 // never fill a batch, so every evaluation waits for the stale-flush timer.
 // That is the single-game starvation MatchService fixes — K concurrent
 // serial games share one queue and their single requests coalesce into
-// cross-game batches. A one-worker search over a queue therefore requires
-// the stale-flush timer; the search result is the same either way.
+// cross-game batches. A one-worker search over a queue that can hold a
+// partial batch therefore requires the stale-flush timer; the search
+// result is the same either way.
 //
-// Evaluation flavours:
-//  * CPU mode — each worker calls the Evaluator on its own thread
-//    ("each worker is assigned a separate CPU thread for performing one
-//     node evaluation", §5.3).
-//  * Accelerator mode — workers block in AsyncBatchEvaluator::evaluate();
-//    the queue's threshold is set to N by the caller, since "the
-//    communication batch size is always set to the number of threads" for
-//    the shared-tree method (§3.3). The worker whose request completes a
-//    batch runs it on its own thread, so on a CPU lane N workers compute
-//    on N cores as in Eq. 3 instead of queueing behind the lane's streams.
+// Evaluation: workers block in AsyncBatchEvaluator::evaluate(), and the
+// worker whose request completes a batch runs it on its own thread.
+//  * Over a bare Evaluator the driver wraps it in a private threshold-1
+//    queue with no stream thread (SearchQueue), so every worker evaluates
+//    on its own thread ("each worker is assigned a separate CPU thread for
+//    performing one node evaluation", §5.3).
+//  * Over an accelerator queue the caller sets the threshold to N, since
+//    "the communication batch size is always set to the number of threads"
+//    for the shared-tree method (§3.3). On a CPU lane N workers thus
+//    compute on N cores as in Eq. 3 instead of queueing behind the lane's
+//    streams.
 //
 // Lock discipline verdict (bench/ablation_locks before the coarse mode was
 // deleted; 400 playouts of Gomoku 9x9 at a 30 µs synthetic evaluation, move
@@ -45,8 +47,6 @@
 // either way by tens of percent. Nothing favoured the coarse lock beyond
 // noise, so per-node locking is the one kept.
 
-#include "eval/async_batch.hpp"
-#include "eval/evaluator.hpp"
 #include "mcts/search.hpp"
 
 namespace apm {
@@ -56,12 +56,12 @@ class SharedTreeMcts final : public MctsSearch {
   // `label` is the scheme this driver reports: kSharedTree, or kSerial for
   // a one-worker driver (make_search(Scheme::kSerial, ...) builds that).
   //
-  // CPU mode.
+  // Over a bare evaluator, wrapped in a private queue with no stream.
   SharedTreeMcts(MctsConfig cfg, int workers, Evaluator& eval,
                  SearchTree* shared_tree = nullptr,
                  Scheme label = Scheme::kSharedTree);
-  // Accelerator mode (batch queue threshold should equal `workers`).
-  SharedTreeMcts(MctsConfig cfg, int workers, AsyncBatchEvaluator& batch,
+  // Over a batch queue (its threshold should equal `workers`).
+  SharedTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                  SearchTree* shared_tree = nullptr,
                  Scheme label = Scheme::kSharedTree);
 

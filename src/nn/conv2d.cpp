@@ -42,13 +42,11 @@ void conv_forward_chunked(
   // workspace budget. Splitting the GEMM's N dimension keeps the per-element
   // K-accumulation order intact, so chunked output is bitwise identical to
   // the monolithic pass.
-  const std::size_t budget = ws.col_budget_bytes != 0
-                                 ? ws.col_budget_bytes
-                                 : ConvWorkspace::kDefaultColBudgetBytes;
   const std::size_t bytes_per_sample =
       static_cast<std::size_t>(kk + out_channels) * hw * sizeof(float);
   const int chunk = std::clamp(
-      static_cast<int>(budget / std::max<std::size_t>(1, bytes_per_sample)),
+      static_cast<int>(ConvWorkspace::kColBudgetBytes /
+                       std::max<std::size_t>(1, bytes_per_sample)),
       1, batch);
 
   ws.col.resize({kk, chunk * hw});
@@ -98,14 +96,13 @@ void conv_forward_chunked(
 }
 
 void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
-                     Tensor* col_cache, bool fuse_relu,
-                     ThreadPool* pool) const {
+                     Tensor* col_cache, bool fuse_relu) const {
   const int kk = in_channels_ * ksize_ * ksize_;
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_, col_cache,
       [&](const float* col, int cols, float* out) {
-        gemm_bias_relu_parallel(pool, w_.value.data(), col, b_.value.data(),
-                                out, out_channels_, cols, kk, fuse_relu);
+        gemm_bias_relu(w_.value.data(), col, b_.value.data(), out,
+                       out_channels_, cols, kk, fuse_relu);
       });
 }
 

@@ -1,11 +1,8 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <thread>
 #include <vector>
 
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
@@ -13,7 +10,7 @@
 #define APM_Q8_VNNI 1
 #endif
 
-#include "support/thread_pool.hpp"
+#include "support/check.hpp"
 
 namespace apm {
 namespace {
@@ -24,7 +21,7 @@ namespace {
 // one packed A block (MC x KC = 64 KB) in L2.
 constexpr int kMR = 4;
 constexpr int kNR = 16;
-constexpr int kMC = 64;    // rows of C per packed-A block == parallel grain
+constexpr int kMC = 64;    // rows of C per packed-A block
 constexpr int kKC = 256;   // K depth per packing pass
 constexpr int kNC = 1024;  // columns of C per packed-B block
 
@@ -37,41 +34,14 @@ T* pack_buffer(std::vector<T>& buf, std::size_t n) {
 thread_local std::vector<float> tl_apack;
 thread_local std::vector<float> tl_bpack;
 
-// --- ParallelGemm regression guard ------------------------------------------
-// A pool bigger than the machine only adds contention (BENCH_gemm's
-// t2/t4-slower-than-t1 rows on a 1-core host), and a shard without a
-// meaningful FLOP budget pays more in fork-join latency than it saves in
-// compute. plan_gemm_workers() therefore caps the fan-out at
-// hardware_concurrency() and shrinks it until every shard clears a FLOP
-// floor; 1 means "run serial". Tests/benches override the cap so the
-// sharded code paths stay exercisable on a 1-core CI host.
-constexpr double kMinFlopsPerShard = 4.0e6;  // ~a 128^3 GEMM per shard
-
-std::atomic<int> g_worker_cap_override{0};
-
-int gemm_worker_cap() {
-  const int o = g_worker_cap_override.load(std::memory_order_relaxed);
-  if (o > 0) return o;
-  const unsigned hc = std::thread::hardware_concurrency();
-  // 0 = unknown: don't second-guess the caller's pool size.
-  return hc == 0 ? std::numeric_limits<int>::max() : static_cast<int>(hc);
-}
-
-// Effective worker count for sharding (the caller's thread included);
-// 1 = the pool would not help, take the serial path.
-int plan_gemm_workers(const ThreadPool* pool, int m, int n, int k) {
-  if (pool == nullptr) return 1;
-  int w = std::min(static_cast<int>(pool->num_threads()) + 1,
-                   gemm_worker_cap());
-  if (w <= 1) return 1;
-  // The driver aims for ~2 shards per worker; keep each of those above the
-  // floor.
-  const double flops = 2.0 * m * n * static_cast<double>(k);
-  const double max_workers = flops / (2.0 * kMinFlopsPerShard);
-  if (max_workers < static_cast<double>(w)) {
-    w = std::max(1, static_cast<int>(max_workers));
-  }
-  return w;
+// Runs a region's m-block loop nest, fn(0, m_blocks), behind a call the
+// compiler cannot inline. The nest used to sit behind a std::function for
+// intra-op sharding. Inlined into gemm_q8_region, it ran the int8 9x9 paper
+// trunk 5-8% slower at batches 4 and 8 on one core; out of line it stays
+// within noise of the std::function build, so both regions keep it there.
+template <typename Fn>
+[[gnu::noinline]] void run_m_blocks(int m_blocks, const Fn& fn) {
+  fn(0, m_blocks);
 }
 
 // Packs an mc x kc block of A into kMR-row panels: panel ip holds rows
@@ -232,18 +202,14 @@ void store_tile(float* c, int ldc, const float* acc, int i0, int j0, int mr,
   }
 }
 
-// GEMM over the column range [jc_begin, jc_end) of C: packs B/A into the
-// calling thread's buffers and runs the kc / m-block / micro-kernel loops.
-// The arithmetic performed for each C element is independent of how the
-// caller splits the column range or shards the m-block loop, which is what
-// makes the parallel paths bitwise deterministic.
-void gemm_region(ThreadPool* pool, const float* a, bool a_trans,
-                 const float* b, bool b_trans, const float* row_bias,
-                 const float* col_bias, float* c, int m, int n, int k,
-                 bool accumulate, bool relu, int jc_begin, int jc_end) {
+// GEMM over all of C: packs B/A into the calling thread's buffers and runs
+// the kc / m-block / micro-kernel loops.
+void gemm_region(const float* a, bool a_trans, const float* b, bool b_trans,
+                 const float* row_bias, const float* col_bias, float* c,
+                 int m, int n, int k, bool accumulate, bool relu) {
   const int m_blocks = (m + kMC - 1) / kMC;
-  for (int jc = jc_begin; jc < jc_end; jc += kNC) {
-    const int nc = std::min(kNC, jc_end - jc);
+  for (int jc = 0; jc < n; jc += kNC) {
+    const int nc = std::min(kNC, n - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
@@ -257,7 +223,7 @@ void gemm_region(ThreadPool* pool, const float* a, bool a_trans,
       } else {
         pack_b(b + static_cast<std::size_t>(kc0) * n + jc, n, kc, nc, bpack);
       }
-      parallel_for(pool, 0, m_blocks, 1, [&, bpack](int ib0, int ib1) {
+      run_m_blocks(m_blocks, [&, bpack](int ib0, int ib1) {
         for (int ib = ib0; ib < ib1; ++ib) {
           const int i0 = ib * kMC;
           const int mc = std::min(kMC, m - i0);
@@ -291,18 +257,10 @@ void gemm_region(ThreadPool* pool, const float* a, bool a_trans,
 }
 
 // Shared GEMM driver. a_trans: A passed as [K, M]; b_trans: B passed as
-// [N, K]. Parallel sharding picks the wider dimension: when C has several
-// kNC column blocks (the whole-batch conv shape, N = B·H·W), workers take
-// disjoint column ranges — parallelism then grows with the batch size,
-// which is what makes large evaluator batches scale across cores. Otherwise
-// row-blocks are sharded inside the single column region. Either way every
-// C element is produced by exactly one thread with the identical blocking
-// and accumulation order as the serial path, so threaded and serial results
-// are bitwise equal. Bias epilogues require accumulate == false.
-void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
-                 const float* b, bool b_trans, const float* row_bias,
-                 const float* col_bias, float* c, int m, int n, int k,
-                 bool accumulate, bool relu) {
+// [N, K]. Bias epilogues require accumulate == false.
+void gemm_driver(const float* a, bool a_trans, const float* b, bool b_trans,
+                 const float* row_bias, const float* col_bias, float* c,
+                 int m, int n, int k, bool accumulate, bool relu) {
   APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
   APM_DCHECK(!(accumulate && (row_bias || col_bias || relu)));
   if (m == 0 || n == 0) return;
@@ -318,33 +276,8 @@ void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
     return;
   }
 
-  const int workers = plan_gemm_workers(pool, m, n, k);
-  if (workers > 1) {
-    // A C element's accumulation order depends only on the kc blocking, so
-    // any column split is bitwise-safe; quantize chunks to the panel width
-    // and aim for ~2 chunks per worker (the parallel_for caller executes
-    // chunks too) so parallelism tracks N = B·H·W rather than N/kNC.
-    int chunk = n / (2 * workers) / kNR * kNR;
-    chunk = std::max(chunk, kNR);
-    const int col_chunks = (n + chunk - 1) / chunk;
-    const int m_blocks = (m + kMC - 1) / kMC;
-    if (col_chunks >= 2 && col_chunks >= m_blocks) {
-      parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
-        for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_region(nullptr, a, a_trans, b, b_trans, row_bias, col_bias, c,
-                      m, n, k, accumulate, relu, cb * chunk,
-                      std::min((cb + 1) * chunk, n));
-        }
-      });
-      return;
-    }
-    // Tall-and-narrow C: shard the row blocks inside one column region.
-    gemm_region(pool, a, a_trans, b, b_trans, row_bias, col_bias, c, m, n, k,
-                accumulate, relu, 0, n);
-    return;
-  }
-  gemm_region(nullptr, a, a_trans, b, b_trans, row_bias, col_bias, c, m, n,
-              k, accumulate, relu, 0, n);
+  gemm_region(a, a_trans, b, b_trans, row_bias, col_bias, c, m, n, k,
+              accumulate, relu);
 }
 
 // --- int8 quantized GEMM ----------------------------------------------------
@@ -367,9 +300,8 @@ void gemm_driver(ThreadPool* pool, const float* a, bool a_trans,
 // padded activation byte holds), so the kernels never branch on remainders.
 // Accumulators span one K-block: |sum| <= kKC * 255 * 127 ~= 8.3e6, far
 // from int32 overflow. C accumulates across K-blocks in float with the
-// fixed serial block order, so — with exact integer tiles and a
-// sharding-independent per-element dequant — results are bitwise identical
-// for every pool size and for the SIMD vs scalar kernels.
+// fixed block order, so — with exact integer tiles — results are bitwise
+// identical for the SIMD vs scalar kernels.
 
 thread_local std::vector<std::uint8_t> tl_q8_apack;
 thread_local std::vector<std::uint8_t> tl_q8_bpack;
@@ -646,19 +578,17 @@ void store_tile_q8(float* c, int ldc, const std::int32_t* acc, int i0,
   }
 }
 
-// Int8 GEMM over the column range [jc_begin, jc_end): the q8 counterpart of
-// gemm_region. weights_a selects the conv shape (A = Wq[M,K], B = fp32
-// activations quantized on pack) vs the linear-abt shape (A = fp32
-// activation rows, B = Wq[N,K]).
-void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
-                    const std::int8_t* wq, const float* wscales,
-                    const float* bias, float* c, int m, int n, int k,
-                    bool relu, int jc_begin, int jc_end) {
+// Int8 GEMM over all of C: the q8 counterpart of gemm_region. weights_a
+// selects the conv shape (A = Wq[M,K], B = fp32 activations quantized on
+// pack) vs the linear-abt shape (A = fp32 activation rows, B = Wq[N,K]).
+void gemm_q8_region(bool weights_a, const float* act, const std::int8_t* wq,
+                    const float* wscales, const float* bias, float* c, int m,
+                    int n, int k, bool relu) {
   const float* row_bias = weights_a ? bias : nullptr;
   const float* col_bias = weights_a ? nullptr : bias;
   const int m_blocks = (m + kMC - 1) / kMC;
-  for (int jc = jc_begin; jc < jc_end; jc += kNC) {
-    const int nc = std::min(kNC, jc_end - jc);
+  for (int jc = 0; jc < n; jc += kNC) {
+    const int nc = std::min(kNC, n - jc);
     const int n_panels = (nc + kNR - 1) / kNR;
     for (int kc0 = 0; kc0 < k; kc0 += kKC) {
       const int kc = std::min(kKC, k - kc0);
@@ -685,8 +615,7 @@ void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
           cc[j] = s * static_cast<float>(wsum[j]);
         }
       }
-      parallel_for(pool, 0, m_blocks, 1, [&, bpack, cs, cc](int ib0,
-                                                            int ib1) {
+      run_m_blocks(m_blocks, [&, bpack, cs, cc](int ib0, int ib1) {
         for (int ib = ib0; ib < ib1; ++ib) {
           const int i0 = ib * kMC;
           const int mc = std::min(kMC, m - i0);
@@ -738,14 +667,10 @@ void gemm_q8_region(ThreadPool* pool, bool weights_a, const float* act,
   }
 }
 
-// Int8 driver: identical sharding policy (and regression guard) as the
-// fp32 gemm_driver. Any split is bitwise-safe here too — integer tiles are
-// exact and the float dequant order per C element depends only on the kc
-// blocking.
-void gemm_q8_driver(ThreadPool* pool, bool weights_a, const float* act,
-                    const std::int8_t* wq, const float* wscales,
-                    const float* bias, float* c, int m, int n, int k,
-                    bool relu) {
+// Int8 driver: the degenerate shapes, then one region over all of C.
+void gemm_q8_driver(bool weights_a, const float* act, const std::int8_t* wq,
+                    const float* wscales, const float* bias, float* c, int m,
+                    int n, int k, bool relu) {
   APM_DCHECK(m >= 0 && n >= 0 && k >= 0);
   if (m == 0 || n == 0) return;
   if (k == 0) {
@@ -760,72 +685,37 @@ void gemm_q8_driver(ThreadPool* pool, bool weights_a, const float* act,
     }
     return;
   }
-  const int workers = plan_gemm_workers(pool, m, n, k);
-  if (workers > 1) {
-    int chunk = n / (2 * workers) / kNR * kNR;
-    chunk = std::max(chunk, kNR);
-    const int col_chunks = (n + chunk - 1) / chunk;
-    const int m_blocks = (m + kMC - 1) / kMC;
-    if (col_chunks >= 2 && col_chunks >= m_blocks) {
-      parallel_for(pool, 0, col_chunks, 1, [&](int cb0, int cb1) {
-        for (int cb = cb0; cb < cb1; ++cb) {
-          gemm_q8_region(nullptr, weights_a, act, wq, wscales, bias, c, m, n,
-                         k, relu, cb * chunk, std::min((cb + 1) * chunk, n));
-        }
-      });
-      return;
-    }
-    gemm_q8_region(pool, weights_a, act, wq, wscales, bias, c, m, n, k, relu,
-                   0, n);
-    return;
-  }
-  gemm_q8_region(nullptr, weights_a, act, wq, wscales, bias, c, m, n, k,
-                 relu, 0, n);
+  gemm_q8_region(weights_a, act, wq, wscales, bias, c, m, n, k, relu);
 }
 
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, int m, int n, int k,
           bool accumulate) {
-  gemm_driver(nullptr, a, false, b, false, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
-}
-
-void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
-                   int m, int n, int k, bool accumulate) {
-  gemm_driver(pool, a, false, b, false, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
+  gemm_driver(a, false, b, false, nullptr, nullptr, c, m, n, k, accumulate,
+              false);
 }
 
 void gemm_bias_relu(const float* a, const float* b, const float* bias,
                     float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, a, false, b, false, bias, nullptr, c, m, n, k, false,
-              relu);
-}
-
-void gemm_bias_relu_parallel(ThreadPool* pool, const float* a, const float* b,
-                             const float* bias, float* c, int m, int n, int k,
-                             bool relu) {
-  gemm_driver(pool, a, false, b, false, bias, nullptr, c, m, n, k, false,
-              relu);
+  gemm_driver(a, false, b, false, bias, nullptr, c, m, n, k, false, relu);
 }
 
 void gemm_atb(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, a, true, b, false, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
+  gemm_driver(a, true, b, false, nullptr, nullptr, c, m, n, k, accumulate,
+              false);
 }
 
 void gemm_abt(const float* a, const float* b, float* c, int m, int n, int k,
               bool accumulate) {
-  gemm_driver(nullptr, a, false, b, true, nullptr, nullptr, c, m, n, k,
-              accumulate, false);
+  gemm_driver(a, false, b, true, nullptr, nullptr, c, m, n, k, accumulate,
+              false);
 }
 
 void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
                         float* c, int m, int n, int k, bool relu) {
-  gemm_driver(nullptr, a, false, b, true, nullptr, bias, c, m, n, k, false,
-              relu);
+  gemm_driver(a, false, b, true, nullptr, bias, c, m, n, k, false, relu);
 }
 
 void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
@@ -845,19 +735,16 @@ void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
   }
 }
 
-void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
-                       const float* wscales, const float* b,
-                       const float* bias, float* c, int m, int n, int k,
-                       bool relu) {
-  gemm_q8_driver(pool, /*weights_a=*/true, b, wq, wscales, bias, c, m, n, k,
-                 relu);
+void gemm_q8_bias_relu(const std::int8_t* wq, const float* wscales,
+                       const float* b, const float* bias, float* c, int m,
+                       int n, int k, bool relu) {
+  gemm_q8_driver(/*weights_a=*/true, b, wq, wscales, bias, c, m, n, k, relu);
 }
 
-void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
-                           const std::int8_t* wq, const float* wscales,
-                           const float* bias, float* c, int m, int n, int k,
-                           bool relu) {
-  gemm_q8_driver(pool, /*weights_a=*/false, a, wq, wscales, bias, c, m, n, k,
+void gemm_q8_abt_bias_relu(const float* a, const std::int8_t* wq,
+                           const float* wscales, const float* bias, float* c,
+                           int m, int n, int k, bool relu) {
+  gemm_q8_driver(/*weights_a=*/false, a, wq, wscales, bias, c, m, n, k,
                  relu);
 }
 
@@ -867,11 +754,6 @@ bool gemm_q8_simd_enabled() {
 #else
   return false;
 #endif
-}
-
-void set_gemm_worker_cap_for_testing(int cap) {
-  APM_CHECK(cap >= 0);
-  g_worker_cap_override.store(cap, std::memory_order_relaxed);
 }
 
 void im2col(const float* x, int channels, int height, int width, int ksize,

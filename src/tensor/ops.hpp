@@ -12,13 +12,19 @@
 // The gemm/gemm_atb family runs on one shared driver: A and B are packed
 // into L1-resident panels and consumed by a 4x16 register-blocked
 // micro-kernel (MR x NR accumulators held across the whole K loop, no
-// per-element branches). The driver optionally
-//   * fuses a per-row bias broadcast and a ReLU into the store epilogue
-//     (one pass over C instead of GEMM + bias pass + ReLU pass), and
-//   * shards M row-blocks across a ThreadPool (ParallelGemm). Each output
-//     element is produced by exactly one thread with the identical blocking
-//     and accumulation order as the serial path, so threaded and serial
-//     results are bitwise equal.
+// per-element branches). The driver optionally fuses a per-row bias
+// broadcast and a ReLU into the store epilogue (one pass over C instead of
+// GEMM + bias pass + ReLU pass). Every GEMM runs on its calling thread.
+//
+// Verdict on intra-op sharding (deleted): a thread pool that split each
+// GEMM's row blocks or column ranges across threads took a 512^3 GEMM from
+// 57.7 to 105.6 and 128.3 GFLOP/s on 1/2/4 threads (4-core AVX-512 host),
+// yet the whole net gained only about 1.6x at batch 8 with a 4-thread
+// pool, and no serving path ever turned it on. A blocking evaluate() runs
+// the batch it completes on its own thread, so every search thread already
+// runs its own forward pass on its own core (the paper's Eq. 3) and a GEMM
+// pool would only contend for the same cores. Parallelism lives above the
+// kernels.
 //
 // The gemm_q8 family is the int8 inference path hosted by the same driver
 // skeleton: weights arrive pre-quantized (symmetric per-output-channel
@@ -27,9 +33,8 @@
 // the 4x16 micro-kernel widen-accumulates u8 x s8 products into int32
 // (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise), and the
 // dequantization — plus the same fused bias/ReLU — happens in the store
-// epilogue. Integer accumulation is exact and the per-element dequant
-// order is independent of sharding, so int8 results are bitwise identical
-// across thread counts AND across the SIMD/scalar kernels.
+// epilogue. Integer accumulation is exact, so int8 results are bitwise
+// identical across the SIMD/scalar kernels.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,34 +43,17 @@
 
 namespace apm {
 
-class ThreadPool;
-
 // --- GEMM family -----------------------------------------------------------
 
 // C[M,N] op= A[M,K]*B[K,N]; op is += when accumulate, = otherwise.
 void gemm(const float* a, const float* b, float* c, int m, int n, int k,
           bool accumulate);
 
-// ParallelGemm: same contract as gemm(); row-blocks of C are sharded across
-// `pool` (nullptr falls back to the serial path). Bitwise deterministic
-// versus the serial result. Regression guard: worker fan-out is capped at
-// hardware_concurrency() and the call degenerates to the serial path when
-// the problem is too small to give every shard a useful FLOP budget — the
-// pool can only ever help, never hurt (the BENCH_gemm t2/t4-slower-than-t1
-// anomaly on a 1-core host).
-void gemm_parallel(ThreadPool* pool, const float* a, const float* b, float* c,
-                   int m, int n, int k, bool accumulate);
-
 // Fused epilogue: C[M,N] = A[M,K]*B[K,N] + bias[i] (broadcast along the
 // row), then ReLU when `relu`. `bias` may be nullptr (no bias). This is the
 // convolution forward shape, where row i is output channel i.
 void gemm_bias_relu(const float* a, const float* b, const float* bias,
                     float* c, int m, int n, int k, bool relu);
-
-// ParallelGemm variant of the fused kernel.
-void gemm_bias_relu_parallel(ThreadPool* pool, const float* a, const float* b,
-                             const float* bias, float* c, int m, int n, int k,
-                             bool relu);
 
 // C[M,N] op= A[K,M]^T * B[K,N].
 void gemm_atb(const float* a, const float* b, float* c, int m, int n, int k,
@@ -94,30 +82,30 @@ void quantize_rows_int8(const float* w, int rows, int k, std::int8_t* wq,
 // Quantized convolution-forward shape: C[M,N] = dequant(Wq[M,K] * q8(B[K,N]))
 // + bias[row i], then ReLU when `relu`. Wq/wscales from quantize_rows_int8;
 // B (the im2col activations) is quantized on the fly during the pack step.
-// `bias` may be nullptr. `pool` shards like gemm_parallel (nullptr = serial);
-// results are bitwise identical for every pool size.
-void gemm_q8_bias_relu(ThreadPool* pool, const std::int8_t* wq,
-                       const float* wscales, const float* b,
-                       const float* bias, float* c, int m, int n, int k,
-                       bool relu);
+// `bias` may be nullptr.
+void gemm_q8_bias_relu(const std::int8_t* wq, const float* wscales,
+                       const float* b, const float* bias, float* c, int m,
+                       int n, int k, bool relu);
+
+// The pre-deletion signature with a null pool argument, kept only for
+// bench/e2e/nn_profile.hpp's profile pass, which calls it that way.
+inline void gemm_q8_bias_relu(std::nullptr_t, const std::int8_t* wq,
+                              const float* wscales, const float* b,
+                              const float* bias, float* c, int m, int n,
+                              int k, bool relu) {
+  gemm_q8_bias_relu(wq, wscales, b, bias, c, m, n, k, relu);
+}
 
 // Quantized linear-forward shape: C[M,N] = dequant(q8(A[M,K]) * Wq[N,K]^T)
 // + bias[col j], then ReLU when `relu`. A (the activations) is quantized on
 // the fly; Wq holds the [Out, In] weight rows as int8.
-void gemm_q8_abt_bias_relu(ThreadPool* pool, const float* a,
-                           const std::int8_t* wq, const float* wscales,
-                           const float* bias, float* c, int m, int n, int k,
-                           bool relu);
+void gemm_q8_abt_bias_relu(const float* a, const std::int8_t* wq,
+                           const float* wscales, const float* bias, float* c,
+                           int m, int n, int k, bool relu);
 
 // True when the AVX-512 VNNI micro-kernel is compiled in (the scalar
 // fallback computes bit-identical results, only slower).
 bool gemm_q8_simd_enabled();
-
-// Test/bench override for the ParallelGemm worker cap (normally
-// hardware_concurrency()): > 0 pretends the host has that many cores, 0
-// restores auto-detection. Lets the sharded code paths run on a 1-core CI
-// host, where the regression guard would otherwise serialise every GEMM.
-void set_gemm_worker_cap_for_testing(int cap);
 
 // --- convolution lowering ---------------------------------------------------
 

@@ -96,6 +96,35 @@ TEST(NetEvaluator, BatchMatchesSingleEvaluations) {
     }
     EXPECT_NEAR(single.value, batch_out[i].value, 1e-5f);
   }
+
+  // The paper trunk on 9x9 at batch 26: conv3's col buffer plus output
+  // (64*9 + 128 rows of 81 floats per sample) fits 18 samples in the 4 MiB
+  // conv scratch budget, so the batch is lowered in two chunks, 18 + 8.
+  // Splitting the GEMM's columns keeps each output's arithmetic, so every
+  // position must match its own batch-1 evaluation bit for bit, in fp32
+  // and in int8 (activations quantize per column).
+  NetConfig paper;
+  paper.height = paper.width = 9;
+  const PolicyValueNet trunk(paper, 13);
+  const QuantizedPolicyValueNet qtrunk(trunk);
+  NetEvaluator fp32(trunk);
+  NetEvaluator int8(qtrunk);
+  for (NetEvaluator* e : {&fp32, &int8}) {
+    const int batch = 26;
+    const std::size_t size = e->input_size();
+    std::vector<float> planes(batch * size);
+    for (float& x : planes) x = rng.uniform_float();
+    std::vector<EvalOutput> outs(batch);
+    e->evaluate_batch(planes.data(), batch, outs.data());
+    for (int i = 0; i < batch; ++i) {
+      EvalOutput single;
+      e->evaluate(planes.data() + i * size, single);
+      ASSERT_EQ(single.policy, outs[i].policy)
+          << precision_name(e->precision()) << " i=" << i;
+      ASSERT_EQ(single.value, outs[i].value)
+          << precision_name(e->precision()) << " i=" << i;
+    }
+  }
 }
 
 TEST(GpuTimingModel, TransferGrowsLinearlyWithBatch) {
@@ -153,33 +182,6 @@ TEST(CpuBackend, ModelledLatencyTracksMeasured) {
   const double measured = backend.compute_batch(inputs, 1, &out);
   EXPECT_GE(measured, 45.0);
   EXPECT_NEAR(backend.model_batch_us(4), 4 * measured, measured);
-}
-
-TEST(NetEvaluator, IntraOpPoolBitwiseMatchesSerial) {
-  // The intra-op GEMM pool shards conv row/column blocks; results must be
-  // bit-identical to the serial evaluator (the ParallelGemm determinism
-  // contract, observed end-to-end).
-  PolicyValueNet net(NetConfig::tiny(9), 11);
-  NetEvaluator serial(net, /*gemm_threads=*/0);
-  NetEvaluator pooled(net, /*gemm_threads=*/2);
-  EXPECT_EQ(pooled.gemm_threads(), 2);
-
-  // Batch 26 on the 9x9 board gives the conv GEMMs N = 26*81 = 2106
-  // columns — enough column chunks that the driver actually takes the
-  // sharded path (a small batch would degenerate to the serial code and
-  // make this test vacuous).
-  const int batch = 26;
-  const std::size_t isz = serial.input_size();
-  Rng rng(77);
-  std::vector<float> inputs(batch * isz);
-  for (auto& v : inputs) v = rng.uniform_float();
-  std::vector<EvalOutput> a(batch), b(batch);
-  serial.evaluate_batch(inputs.data(), batch, a.data());
-  pooled.evaluate_batch(inputs.data(), batch, b.data());
-  for (int i = 0; i < batch; ++i) {
-    ASSERT_EQ(a[i].policy, b[i].policy) << "i=" << i;
-    ASSERT_EQ(a[i].value, b[i].value) << "i=" << i;
-  }
 }
 
 TEST(AsyncBatch, ThresholdTriggersDispatch) {
@@ -393,6 +395,37 @@ TEST(CallerRuns, ThresholdOneEvaluatesOnTheCallingThread) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.threshold_dispatches, 1u);
   EXPECT_EQ(queue.in_flight(), 0u);
+}
+
+TEST(CallerRuns, ZeroStreamQueueServesBlockingCallersOnTheirOwnThreads) {
+  // The queue a search driver wraps a bare Evaluator in: threshold 1, no
+  // stream thread and no stale timer. Each evaluate() completes its own
+  // batch and runs it on its caller, so the queue needs no thread at all.
+  SyntheticEvaluator eval(5, 2);
+  ProbeBackend backend(eval);
+  AsyncBatchEvaluator queue(backend, /*threshold=*/1, /*streams=*/0,
+                            /*stale_flush_us=*/0.0);
+  EXPECT_EQ(queue.num_streams(), 0);
+  const float first_in[2] = {1, 2};
+  const float second_in[2] = {3, 4};
+  expect_same(queue.evaluate(first_in), direct(eval, first_in));
+  std::thread::id other;
+  EvalOutput second_out;
+  std::jthread([&] {
+    other = std::this_thread::get_id();
+    second_out = queue.evaluate(second_in);
+  }).join();
+  expect_same(second_out, direct(eval, second_in));
+  EXPECT_EQ(backend.threads(),
+            (std::vector<std::thread::id>{std::this_thread::get_id(), other}));
+  queue.drain();
+  EXPECT_EQ(queue.in_flight(), 0u);
+  EXPECT_EQ(queue.stats().threshold_dispatches, 2u);
+
+  // An asynchronous dispatch would wait for a thread that never comes, so
+  // it fails a check instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(queue.submit(first_in, [](EvalOutput) {}), "no stream thread");
 }
 
 TEST(CallerRuns, SecondBlockingCallerRunsTheBatchForBoth) {

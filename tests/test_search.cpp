@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -426,7 +427,7 @@ TEST(SerialSearch, PinnedReuseTraceOverTaggedQueueWithCacheAndTt) {
   EXPECT_LT(queue.stats().tag_slots.at(0), 2 * slots);
 }
 
-// Records every thread evaluate() runs on.
+// Records every thread evaluate() runs on, with its call count.
 class ThreadRecordingEvaluator final : public Evaluator {
  public:
   explicit ThreadRecordingEvaluator(Evaluator& inner) : inner_(inner) {}
@@ -435,19 +436,25 @@ class ThreadRecordingEvaluator final : public Evaluator {
   void evaluate(const float* input, EvalOutput& out) override {
     {
       std::lock_guard lock(mu_);
-      threads_.insert(std::this_thread::get_id());
+      ++calls_[std::this_thread::get_id()];
     }
     inner_.evaluate(input, out);
   }
   std::set<std::thread::id> threads() const {
     std::lock_guard lock(mu_);
-    return threads_;
+    std::set<std::thread::id> ids;
+    for (const auto& [id, n] : calls_) ids.insert(id);
+    return ids;
+  }
+  std::map<std::thread::id, int> calls() const {
+    std::lock_guard lock(mu_);
+    return calls_;
   }
 
  private:
   Evaluator& inner_;
   mutable std::mutex mu_;
-  std::set<std::thread::id> threads_;
+  std::map<std::thread::id, int> calls_;
 };
 
 TEST(SerialSearch, EvaluatesOnlyOnTheCallingThread) {
@@ -472,6 +479,44 @@ TEST(SerialSearch, EvaluatesOnlyOnTheCallingThread) {
   EXPECT_EQ(queued.threads(), std::set{std::this_thread::get_id()});
   EXPECT_EQ(queue.stats().tag_slots.at(0), rq.metrics.eval_requests + 1);
   EXPECT_EQ(rq.action_prior, r.action_prior);
+}
+
+// The thread model over a bare evaluator: the calling thread evaluates the
+// root, Algorithm 3's master hands every leaf to N evaluation threads, and
+// Algorithm 2's N workers each evaluate on their own thread.
+TEST(ThreadModel, LocalTreeRunsTheRootOnTheCallerAndLeavesOnNOthers) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator inner(g.action_count(), g.encode_size());
+  ThreadRecordingEvaluator eval(inner);
+  LocalTreeMcts search(quick_config(200), 4, eval);
+  search.search(g);
+  std::map<std::thread::id, int> calls = eval.calls();
+  EXPECT_EQ(calls[std::this_thread::get_id()], 1);  // the root only
+  EXPECT_LE(calls.size(), 5u);
+}
+
+TEST(ThreadModel, SharedTreeEvaluatesOnAtMostNThreadsTheCallerAmongThem) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator inner(g.action_count(), g.encode_size());
+  ThreadRecordingEvaluator eval(inner);
+  SharedTreeMcts search(quick_config(200), 4, eval);
+  search.search(g);
+  const std::set<std::thread::id> threads = eval.threads();
+  EXPECT_TRUE(threads.contains(std::this_thread::get_id()));
+  EXPECT_LE(threads.size(), 4u);
+}
+
+TEST(ThreadModel, LeafParallelEvaluatesDuplicatesOffTheCallingThread) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator inner(g.action_count(), g.encode_size());
+  ThreadRecordingEvaluator eval(inner);
+  auto search = make_search(Scheme::kLeafParallel, quick_config(120), 3,
+                            {.evaluator = &eval});
+  search->search(g);
+  std::map<std::thread::id, int> calls = eval.calls();
+  EXPECT_EQ(calls[std::this_thread::get_id()], 1);  // the root only
+  EXPECT_GT(calls.size(), 1u);
+  EXPECT_LE(calls.size(), 4u);
 }
 
 TEST(RootNoise, ChangesExplorationButKeepsDistribution) {

@@ -1,5 +1,5 @@
-// Unit tests for the support substrate: spinlock, sync queue, thread pool,
-// RNG, statistics, table rendering.
+// Unit tests for the support substrate: spinlock, sync queue, RNG,
+// statistics, table rendering.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "support/stats.hpp"
 #include "support/sync_queue.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace apm {
 namespace {
@@ -107,36 +106,6 @@ TEST(SyncQueue, MpmcStressConservesItems) {
   const long n = static_cast<long>(kProducers) * kPerProducer;
   EXPECT_EQ(consumed.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(ThreadPool, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPool, FuturesReturnValues) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit_with_result([] { return 6 * 7; });
-  auto f2 = pool.submit_with_result([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, TasksCanSubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    count.fetch_add(1);
-    pool.submit([&] { count.fetch_add(1); });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(Rng, DeterministicForSeed) {
