@@ -12,7 +12,8 @@
 //  * winner() is +1/−1 for a decided game, 0 for draw-or-ongoing.
 //  * encode() writes `encode_channels() × height × width` floats from the
 //    perspective of the player to move (plane 0 = own stones), which is the
-//    input convention of PolicyValueNet.
+//    input convention of PolicyValueNet. Every value is 0 or 1 (see
+//    encode()).
 
 #include <cstdint>
 #include <memory>
@@ -70,7 +71,12 @@ class Game {
     return hash ^ splitmix64(mix);
   }
 
-  // NN input; see class comment for the layout contract.
+  // NN input; see class comment for the layout contract. Planes are binary:
+  // every value written is exactly 0.0f or 1.0f. A self-play record stores
+  // the position at one byte per cell (TrainSample::state), and
+  // EpisodeRunner fails an APM_CHECK on any other value. SyntheticGame
+  // (perfmodel/), a profiling stand-in that never reaches a record, is the
+  // one exception.
   virtual void encode(float* planes) const = 0;
 
   virtual std::string to_string() const = 0;

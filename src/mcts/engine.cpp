@@ -41,13 +41,21 @@ EngineConfig normalized(EngineConfig cfg) {
   return cfg;
 }
 
+// Eq. 5's cap on S, the threads LocalTree's asynchronous requests run on:
+// a caller's queue runs them on its stream threads, and the private queue
+// around a bare evaluator has one per worker (0: no cap).
+int local_eval_threads(const SearchResources& res) {
+  return res.batch != nullptr ? std::max(1, res.batch->num_streams()) : 0;
+}
+
 }  // namespace
 
 SearchEngine::SearchEngine(EngineConfig cfg, SearchResources res)
     : cfg_(normalized(std::move(cfg))),
       res_(res),
       controller_(cfg_.hw, cfg_.seed_costs, cfg_.adaptive, cfg_.scheme,
-                  cfg_.workers, cfg_.batch_threshold) {
+                  cfg_.workers, cfg_.batch_threshold,
+                  local_eval_threads(res_)) {
   APM_CHECK_MSG(res_.evaluator != nullptr || res_.batch != nullptr,
                 "SearchEngine: no evaluation resource provided");
   // An externally owned lane-shared table (EvaluatorPool via MatchService)

@@ -14,7 +14,10 @@
 //    into live ProfiledCosts (EWMA) and the Eq. 3–6 models are
 //    re-evaluated; when another (scheme, N, B) beats the current one past a
 //    hysteresis margin the engine rebuilds the driver and re-tunes the
-//    AsyncBatchEvaluator threshold in place.
+//    AsyncBatchEvaluator threshold in place. The engine tells the
+//    controller how many threads LocalTree's requests would run on (Eq.
+//    5's S): the stream threads of a caller's queue, or one per worker on
+//    the private queue around a bare evaluator.
 //
 // Typical use (see examples/adaptive_config.cpp):
 //   SearchEngine engine(cfg, {.evaluator = &eval});

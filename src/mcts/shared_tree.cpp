@@ -1,8 +1,5 @@
 #include "mcts/shared_tree.hpp"
 
-#include <thread>
-#include <vector>
-
 #include "mcts/selection.hpp"
 #include "mcts/transposition.hpp"
 #include "support/timer.hpp"
@@ -32,15 +29,42 @@ SharedTreeMcts::SharedTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                 "timer (a single in-flight request cannot fill a batch)");
 }
 
-void SharedTreeMcts::worker_loop(const Game& env,
-                                 std::atomic<int>& playout_counter,
-                                 SearchMetrics& stats) {
+SharedTreeMcts::~SharedTreeMcts() {
+  {
+    std::lock_guard lock(crew_mu_);
+    shutdown_ = true;
+  }
+  move_posted_.notify_all();
+  for (std::thread& helper : crew_) helper.join();
+}
+
+void SharedTreeMcts::helper_loop(int w) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock lock(crew_mu_);
+      move_posted_.wait(lock,
+                        [&] { return shutdown_ || move_seq_ != seen; });
+      if (shutdown_) return;
+      seen = move_seq_;
+    }
+    worker_loop(*move_env_, move_stats_[static_cast<std::size_t>(w)]);
+    bool last = false;
+    {
+      std::lock_guard lock(crew_mu_);
+      last = --helpers_busy_ == 0;
+    }
+    if (last) move_done_.notify_one();
+  }
+}
+
+void SharedTreeMcts::worker_loop(const Game& env, SearchMetrics& stats) {
   InTreeOps ops(tree_, cfg_);
   std::vector<float> input(env.encode_size());
   EvalOutput out;
   TtView tt_scratch;  // per-worker: probe results never cross threads
 
-  while (playout_counter.fetch_add(1, std::memory_order_acq_rel) <
+  while (playout_counter_.fetch_add(1, std::memory_order_acq_rel) <
          cfg_.num_playouts) {
     auto game = env.clone();
     Timer phase;
@@ -121,21 +145,29 @@ SearchResult SharedTreeMcts::search(const Game& env) {
 
   prepare_root(env, reuse);
 
-  std::atomic<int> playout_counter{0};
-  std::vector<SearchMetrics> stats(static_cast<std::size_t>(workers_));
-  {
-    // Worker 0 is the calling thread, so a serial search starts no thread.
-    std::vector<std::jthread> helpers;
-    helpers.reserve(static_cast<std::size_t>(workers_ - 1));
+  // Worker 0 is the calling thread, so a serial search starts no thread.
+  if (workers_ > 1 && crew_.empty()) {
+    crew_.reserve(static_cast<std::size_t>(workers_ - 1));
     for (int w = 1; w < workers_; ++w) {
-      helpers.emplace_back([this, &env, &playout_counter, &stats, w] {
-        worker_loop(env, playout_counter, stats[w]);
-      });
+      crew_.emplace_back([this, w] { helper_loop(w); });
     }
-    worker_loop(env, playout_counter, stats[0]);
-  }  // joins the helpers
+  }
+  {
+    std::lock_guard lock(crew_mu_);
+    move_env_ = &env;
+    playout_counter_.store(0, std::memory_order_relaxed);
+    move_stats_.assign(static_cast<std::size_t>(workers_), SearchMetrics{});
+    helpers_busy_ = workers_ - 1;
+    ++move_seq_;
+  }
+  move_posted_.notify_all();
+  worker_loop(env, move_stats_[0]);
+  {
+    std::unique_lock lock(crew_mu_);
+    move_done_.wait(lock, [this] { return helpers_busy_ == 0; });
+  }
 
-  for (const SearchMetrics& s : stats) metrics.add_rollouts(s);
+  for (const SearchMetrics& s : move_stats_) metrics.add_rollouts(s);
   // Sole producer: settle the queue before reading the delta. On a tagged
   // multi-producer queue drain() would stall on other games' traffic — and
   // is unnecessary, since our workers block on their own requests, so

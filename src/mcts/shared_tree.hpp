@@ -4,8 +4,12 @@
 // N workers share one tree. Each worker runs complete rollouts: select
 // (virtual loss marks the path so workers diverge), evaluate, expand,
 // backup. Tree mutation uses per-edge atomics and per-node spinlocks.
-// Worker 0 runs on the calling thread and N−1 helper threads join it, so
-// one search() starts N−1 threads.
+// Worker 0 runs on the calling thread and N−1 helper threads join it. The
+// helpers are the driver's crew: the first search() with N > 1 starts
+// them, they park on a condition variable between moves, and the
+// destructor joins them. So a driver that serves many moves starts N−1
+// threads once (a SearchEngine rebuilds its driver, and with it the crew,
+// only on a scheme switch).
 //
 // Serial search is this driver at N=1, labelled Scheme::kSerial: it starts
 // no thread, and with one worker no rollout is ever unobserved, so each
@@ -47,6 +51,11 @@
 // either way by tens of percent. Nothing favoured the coarse lock beyond
 // noise, so per-node locking is the one kept.
 
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "mcts/search.hpp"
 
 namespace apm {
@@ -64,6 +73,11 @@ class SharedTreeMcts final : public MctsSearch {
   SharedTreeMcts(MctsConfig cfg, int workers, SearchQueue queue,
                  SearchTree* shared_tree = nullptr,
                  Scheme label = Scheme::kSharedTree);
+  // Stops and joins the crew.
+  ~SharedTreeMcts() override;
+  // The crew's threads hold `this`.
+  SharedTreeMcts(const SharedTreeMcts&) = delete;
+  SharedTreeMcts& operator=(const SharedTreeMcts&) = delete;
 
   SearchResult search(const Game& env) override;
   Scheme scheme() const override { return label_; }
@@ -72,11 +86,32 @@ class SharedTreeMcts final : public MctsSearch {
  private:
   // Runs rollouts until the shared ticket counter passes the budget,
   // counting into `stats`.
-  void worker_loop(const Game& env, std::atomic<int>& playout_counter,
-                   SearchMetrics& stats);
+  void worker_loop(const Game& env, SearchMetrics& stats);
+  // Helper `w`'s life: park until search() posts a move, run worker_loop
+  // on it, report done; return at shutdown.
+  void helper_loop(int w);
 
   int workers_;
   Scheme label_;
+
+  // This move's shared state: the position, the playout tickets and one
+  // metrics slot per worker. search() writes the position and the slots
+  // under crew_mu_ before posting a move and reads the slots after every
+  // helper reported done, so the mutex orders them.
+  const Game* move_env_ = nullptr;
+  std::atomic<int> playout_counter_{0};
+  std::vector<SearchMetrics> move_stats_;
+
+  // The crew hand-off. search() bumps move_seq_ and sets helpers_busy_ to
+  // N−1; each helper runs the move once and decrements it, and the last
+  // one wakes search().
+  std::mutex crew_mu_;
+  std::condition_variable move_posted_;
+  std::condition_variable move_done_;
+  std::uint64_t move_seq_ = 0;
+  int helpers_busy_ = 0;
+  bool shutdown_ = false;
+  std::vector<std::thread> crew_;
 };
 
 }  // namespace apm

@@ -48,9 +48,11 @@ struct TtConfig {
   // Entry count (rounded up to a whole number of buckets).
   std::size_t capacity = 8192;
   int ways = 4;  // bucket associativity
-  // Positions with more legal actions than this are not stored (bounds the
-  // per-entry slab; covers Connect4/Othello fanouts by default while
-  // skipping Gomoku openings).
+  // Positions with more legal actions than this are not stored. Every
+  // entry owns a slab of this many edges, value-initialised (so resident)
+  // at construction: 8192 × 40 × 8 B ≈ 2.6 MB at the defaults. The default
+  // covers Othello 6×6 fanouts while skipping Gomoku openings;
+  // EvaluatorPool clamps a lane table's slab to its backend's action count.
   int max_edges = 40;
   // > 0: probe treats entries older than this many generations as misses.
   // 0 (default): memos never age out — replacement pressure alone recycles

@@ -17,14 +17,17 @@ double ewma(double current, double sample, double alpha) {
 AdaptiveController::AdaptiveController(HardwareSpec hw,
                                        ProfiledCosts seed_costs,
                                        AdaptiveConfig cfg, Scheme scheme,
-                                       int workers, int batch_size)
+                                       int workers, int batch_size,
+                                       int local_eval_threads)
     : hw_(hw),
       costs_(seed_costs),
       cfg_(cfg),
       scheme_(scheme),
       workers_(workers),
-      batch_(std::max(1, batch_size)) {
+      batch_(std::max(1, batch_size)),
+      local_eval_threads_(local_eval_threads) {
   APM_CHECK(workers >= 1);
+  APM_CHECK(local_eval_threads >= 0);
   APM_CHECK(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0);
   APM_CHECK(cfg_.hysteresis >= 0.0);
   if (cfg_.worker_candidates.empty()) {
@@ -169,7 +172,7 @@ double AdaptiveController::predict_us(const PerfModel& model, Scheme scheme,
 }
 
 AdaptivePlan AdaptiveController::plan() {
-  const PerfModel model(hw_, costs_);
+  const PerfModel model(hw_, costs_, local_eval_threads_);
   AdaptivePlan out;
   out.current_predicted_us = predict_us(model, scheme_, workers_, batch_);
 

@@ -82,9 +82,11 @@ struct AdaptivePlan {
 
 class AdaptiveController {
  public:
+  // `local_eval_threads` is Eq. 5's cap on the threads that run LocalTree's
+  // evaluations (PerfModel); 0 = one per worker.
   AdaptiveController(HardwareSpec hw, ProfiledCosts seed_costs,
                      AdaptiveConfig cfg, Scheme scheme, int workers,
-                     int batch_size = 1);
+                     int batch_size = 1, int local_eval_threads = 0);
 
   // Folds one move's measured metrics into the live costs (EWMA).
   void observe(const SearchMetrics& metrics);
@@ -126,6 +128,7 @@ class AdaptiveController {
   Scheme scheme_;
   int workers_;
   int batch_;
+  int local_eval_threads_;
   int observed_moves_ = 0;
   int moves_since_switch_ = 0;
   int switches_ = 0;

@@ -57,10 +57,16 @@ double PerfModel::shared_gpu_wave_us(int n) const {
          hw_.gpu.batch_total_us(n) * eval_miss_rate();
 }
 
+int PerfModel::local_eval_threads(int n) const {
+  return local_eval_threads_ > 0 ? std::min(n, local_eval_threads_) : n;
+}
+
 double PerfModel::local_cpu_wave_us(int n) const {
   APM_CHECK(n >= 1);
+  const double depth =
+      static_cast<double>(n) / static_cast<double>(local_eval_threads(n));
   return std::max(local_intree_us() * n,
-                  costs_.t_dnn_cpu_us * eval_miss_rate());
+                  costs_.t_dnn_cpu_us * eval_miss_rate() * depth);
 }
 
 double PerfModel::local_gpu_wave_us(int n, int b) const {

@@ -36,11 +36,16 @@ struct AdaptiveDecision {
 
 class PerfModel {
  public:
-  PerfModel(HardwareSpec hw, ProfiledCosts costs)
-      : hw_(hw), costs_(costs) {}
+  // `local_eval_threads` caps S, the threads that run LocalTree's
+  // evaluations (Eq. 5); 0 leaves S = N, the paper's form.
+  PerfModel(HardwareSpec hw, ProfiledCosts costs, int local_eval_threads = 0)
+      : hw_(hw), costs_(costs), local_eval_threads_(local_eval_threads) {}
 
   const HardwareSpec& hardware() const { return hw_; }
   const ProfiledCosts& costs() const { return costs_; }
+
+  // S at N workers: min(N, cap), or N without a cap.
+  int local_eval_threads(int n) const;
 
   // --- Eq. 3: shared tree, CPU-only -------------------------------------
   // T ≈ T_shared_access·N + T_select + T_backup + T_DNN^CPU
@@ -51,7 +56,13 @@ class PerfModel {
   double shared_gpu_wave_us(int n) const;
 
   // --- Eq. 5: local tree, CPU-only ---------------------------------------
-  // T ≈ max((T_select + T_backup)·N, T_DNN^CPU)
+  // T ≈ max((T_select + T_backup)·N, T_DNN^CPU·N/S)
+  // The master issues N requests per wave and S threads evaluate them, so
+  // the DNN term is N/S evaluations deep. Algorithm 3 gives each request
+  // its own thread (S = N: one T_DNN per wave), as the private queue over a
+  // bare Evaluator does. Over a caller's queue the requests run on that
+  // queue's stream threads, so SearchEngine passes its controller
+  // S = min(N, num_streams()): 1 on an EvaluatorPool lane.
   double local_cpu_wave_us(int n) const;
 
   // --- Eq. 6: local tree, CPU-GPU with sub-batches of size B -------------
@@ -93,6 +104,7 @@ class PerfModel {
  private:
   HardwareSpec hw_;
   ProfiledCosts costs_;
+  int local_eval_threads_;
 };
 
 }  // namespace apm

@@ -40,6 +40,9 @@ class SyntheticGame final : public Game {
   void legal_actions(std::vector<int>& out) const override;
   void apply(int action) override;
   std::uint64_t hash() const override { return hash_; }
+  // Writes the depth and the player to move into cells 0 and 1, so unlike
+  // the real games its planes are not binary (Game::encode()): it profiles
+  // searches and is never played into a self-play record.
   void encode(float* planes) const override;
   std::string to_string() const override;
 

@@ -1,5 +1,7 @@
 #include "serve/evaluator_pool.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace apm {
@@ -21,6 +23,10 @@ int EvaluatorPool::add_model(const ModelSpec& spec) {
   if (spec.tt.enabled) {
     TtConfig tt_cfg = spec.tt;
     tt_cfg.name = spec.name;  // trace instants carry the lane name
+    // No position has more legal actions than the net has outputs, so a
+    // wider edge slab would stay unused: size it to the lane's game.
+    tt_cfg.max_edges =
+        std::min(tt_cfg.max_edges, spec.backend->action_count());
     lane->tt = std::make_unique<TranspositionTable>(tt_cfg);
   }
   if (spec.cache) lane->cache = std::make_unique<EvalCache>(spec.cache_cfg);

@@ -110,7 +110,9 @@ struct ModelSpec {
   Precision precision = Precision::kFp32;
   // tt.enabled builds the lane's shared TranspositionTable (header note).
   // tt.name is overwritten with the lane name so the table's trace
-  // instants (tt_graft / tt_pending) carry it.
+  // instants (tt_graft / tt_pending) carry it, and tt.max_edges is clamped
+  // to the backend's action count (a Connect4 lane stores 7 edges per
+  // entry, not 40).
   TtConfig tt = {};
   // Latency objective for this lane's REQUEST latency (submit -> future
   // ready, the queue's request histogram). When enabled, the MatchService

@@ -229,6 +229,9 @@ GameRecord MatchService::retire_slot(Slot& slot, bool completed) const {
   rec.game_name = wl.spec.proto->name();
   rec.model = wl.spec.model;
   rec.completed = completed;
+  // A record waits in completed_ until take_completed(), often for the
+  // whole run, so its vectors are sized exactly.
+  rec.samples.reserve(slot.runner->sample_count());
   EpisodeStats stats = slot.runner->finish(
       [&rec](TrainSample&& s) { rec.samples.push_back(std::move(s)); });
   fold_engine_trace(stats, *slot.engine, 0);

@@ -39,8 +39,8 @@ void ReplayBuffer::sample_batch(Rng& rng, int batch,
     const TrainSample& s = samples_[rng.below(samples_.size())];
     APM_CHECK(s.state.size() == state_len);
     APM_CHECK(s.pi.size() == pi_len);
-    std::memcpy(states.data() + static_cast<std::size_t>(b) * state_len,
-                s.state.data(), state_len * sizeof(float));
+    float* row = states.data() + static_cast<std::size_t>(b) * state_len;
+    for (std::size_t i = 0; i < state_len; ++i) row[i] = s.state[i];
     std::memcpy(pis.data() + static_cast<std::size_t>(b) * pi_len,
                 s.pi.data(), pi_len * sizeof(float));
     zs[b] = s.z;

@@ -7,6 +7,7 @@
 // assembles contiguous minibatch tensors for PolicyValueNet::train_step.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -15,8 +16,12 @@
 namespace apm {
 
 struct TrainSample {
-  std::vector<float> state;  // C×H×W
-  std::vector<float> pi;     // action_count
+  // The encoded position, C×H×W, one byte per cell: Game::encode() writes
+  // only 0 and 1 (EpisodeRunner checks it), so a byte holds the value a
+  // float plane would, at a quarter of the memory. sample_batch() widens
+  // it back to the same floats.
+  std::vector<std::uint8_t> state;
+  std::vector<float> pi;  // action_count
   float z = 0.0f;
 };
 

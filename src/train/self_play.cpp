@@ -45,8 +45,15 @@ void EpisodeRunner::step(const SearchFn& search, const PlayedFn& played) {
 
   MoveRecord rec;
   rec.player = env_->current_player();
-  rec.sample.state.resize(env_->encode_size());
-  env_->encode(rec.sample.state.data());
+  planes_.resize(env_->encode_size());
+  env_->encode(planes_.data());
+  rec.sample.state.resize(planes_.size());
+  for (std::size_t i = 0; i < planes_.size(); ++i) {
+    APM_CHECK_MSG(planes_[i] == 0.0f || planes_[i] == 1.0f,
+                  "Game::encode() wrote a value other than 0 or 1; "
+                  "a TrainSample stores one byte per cell");
+    rec.sample.state[i] = static_cast<std::uint8_t>(planes_[i]);
+  }
   rec.sample.pi = result.action_prior;
   records_.push_back(std::move(rec));
 
@@ -63,21 +70,26 @@ void EpisodeRunner::step(const SearchFn& search, const PlayedFn& played) {
   ++stats_.moves;
 }
 
+bool EpisodeRunner::augments() const {
+  return cfg_.augment && height_ == width_ && !records_.empty() &&
+         static_cast<int>(records_.front().sample.pi.size()) ==
+             height_ * width_;
+}
+
+std::size_t EpisodeRunner::sample_count() const {
+  return records_.size() * (augments() ? 8 : 1);
+}
+
 EpisodeStats EpisodeRunner::finish(const SampleSink& sink) {
   stats_.winner = env_->winner();
-  const int side = height_;
-  const bool square =
-      height_ == width_ &&
-      static_cast<int>(records_.empty() ? 0
-                                        : records_.front().sample.pi.size()) ==
-          side * side;
+  const bool augment = augments();
   for (MoveRecord& rec : records_) {
     rec.sample.z = stats_.winner == 0
                        ? 0.0f
                        : (stats_.winner == rec.player ? 1.0f : -1.0f);
-    if (cfg_.augment && square) {
+    if (augment) {
       std::vector<TrainSample> extra;
-      augment_symmetries(rec.sample, channels_, side, extra);
+      augment_symmetries(rec.sample, channels_, height_, extra);
       for (TrainSample& s : extra) sink(std::move(s));
       stats_.samples += 7;
     }
@@ -91,6 +103,9 @@ EpisodeStats EpisodeRunner::finish(const SampleSink& sink) {
 void fold_engine_trace(EpisodeStats& stats, const SearchEngine& engine,
                        std::size_t log_begin) {
   const auto& log = engine.move_log();
+  if (log_begin < log.size()) {
+    stats.per_move.reserve(stats.per_move.size() + (log.size() - log_begin));
+  }
   for (std::size_t i = log_begin; i < log.size(); ++i) {
     const EngineMoveStats& m = log[i];
     stats.per_move.push_back(m);

@@ -84,11 +84,19 @@ class EpisodeRunner {
   // after done() (or earlier to finalize a truncated episode).
   EpisodeStats finish(const SampleSink& sink);
 
+  // The number of samples finish() would hand to its sink now: one per
+  // move, eight with augmentation on a square board.
+  std::size_t sample_count() const;
+
  private:
   struct MoveRecord {
     TrainSample sample;
     int player;
   };
+
+  // Whether finish() adds the 8-fold symmetries (a square board whose
+  // policy covers every cell).
+  bool augments() const;
 
   SelfPlayConfig cfg_;
   int height_;
@@ -98,6 +106,7 @@ class EpisodeRunner {
   std::unique_ptr<Game> env_;
   EpisodeStats stats_;
   std::vector<MoveRecord> records_;
+  std::vector<float> planes_;  // encode() scratch, stored as bytes
 };
 
 // Folds an engine's per-move adaptation trace (log entries from index

@@ -63,7 +63,8 @@ TEST(Augment, AllTransformsPreservePiMassAndZ) {
   const std::size_t plane = side * side;
   s.state.resize(channels * plane);
   s.pi.resize(plane);
-  for (auto& v : s.state) v = rng.uniform_float();
+  // Random 0/1 cells: a byte state holds only what encode() writes.
+  for (auto& v : s.state) v = rng.uniform_float() < 0.5f ? 1 : 0;
   float total = 0;
   for (auto& v : s.pi) {
     v = rng.uniform_float();

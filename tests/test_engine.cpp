@@ -354,6 +354,42 @@ TEST(SearchEngine, AppliesSharedTreeBatchConvention) {
   EXPECT_EQ(engine.batch_threshold(), 8);
 }
 
+TEST(SearchEngine, OneStreamLaneChargesLocalTreeEveryEvaluation) {
+  // Over a MatchService lane (a tagged queue with one stream thread) the N
+  // requests of a LocalTree wave queue behind that one thread, so Eq. 5
+  // charges N·T_DNN. Eval-bound costs that Algorithm 3's N evaluation
+  // threads would serve fastest on LocalTree then plan SharedTree.
+  Gomoku g(5, 4);
+  UniformEvaluator eval(g.action_count(), g.encode_size());
+  CpuBackend backend(eval);
+  AsyncBatchEvaluator lane(backend, /*threshold=*/1, /*streams=*/1,
+                           /*stale_flush_us=*/300.0);
+
+  EngineConfig ec;
+  ec.mcts.num_playouts = 40;
+  ec.scheme = Scheme::kLocalTree;
+  ec.workers = 8;
+  ec.hw = flat_hardware();
+  ec.seed_costs = make_costs(5.0, 800.0, 2.0);
+  ec.adaptive = trusting_config({8});
+  const auto eval_bound = [](int) { return make_costs(5.0, 800.0, 2.0); };
+
+  SearchEngine over_lane(ec, {.batch = &lane, .batch_tag = 0});
+  over_lane.set_cost_feed(eval_bound);
+  over_lane.search(g);
+  EXPECT_EQ(over_lane.switch_count(), 1);
+  EXPECT_EQ(over_lane.scheme(), Scheme::kSharedTree);
+  EXPECT_EQ(over_lane.workers(), 8);
+
+  // A bare evaluator's private queue gives LocalTree N stream threads, the
+  // paper's form: one T_DNN per wave, so the same costs keep LocalTree.
+  SearchEngine over_eval(ec, {.evaluator = &eval});
+  over_eval.set_cost_feed(eval_bound);
+  over_eval.search(g);
+  EXPECT_EQ(over_eval.switch_count(), 0);
+  EXPECT_EQ(over_eval.scheme(), Scheme::kLocalTree);
+}
+
 TEST(SearchEngine, EpisodeLogsRuntimeSwitchFromSyntheticCostFeed) {
   // Acceptance path: a self-play episode through the engine, with a
   // synthetic cost feed standing in for the measured per-move metrics,

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "eval/gpu_model.hpp"
 #include "eval/net_evaluator.hpp"
+#include "games/connect4.hpp"
 #include "games/gomoku.hpp"
 #include "mcts/factory.hpp"
 #include "nn/serialize.hpp"
@@ -104,6 +106,97 @@ TEST(SelfPlay, MaxMovesTruncatesEpisode) {
   sp.max_moves = 4;
   const EpisodeStats stats = run_self_play_episode(g, *search, buffer, sp);
   EXPECT_EQ(stats.moves, 4);
+}
+
+// A one-move "search" that plays the first legal action and records the
+// float planes of every position it was asked about.
+EpisodeRunner::SearchFn first_legal(std::vector<std::vector<float>>* seen) {
+  return [seen](const Game& env) {
+    if (seen != nullptr) {
+      seen->emplace_back(env.encode_size());
+      env.encode(seen->back().data());
+    }
+    std::vector<int> legal;
+    env.legal_actions(legal);
+    SearchResult r;
+    r.best_action = legal.front();
+    r.action_prior.assign(static_cast<std::size_t>(env.action_count()), 0.0f);
+    r.action_prior[static_cast<std::size_t>(r.best_action)] = 1.0f;
+    return r;
+  };
+}
+
+TEST(SelfPlay, StoresPositionsAsBytesThatWidenToTheEncoding) {
+  const Connect4 c4;
+  SelfPlayConfig sp;
+  sp.temperature_moves = 0;
+  sp.max_moves = 5;
+  EpisodeRunner runner(c4, sp);
+  std::vector<std::vector<float>> planes;
+  while (!runner.done()) runner.step(first_legal(&planes));
+  EXPECT_EQ(runner.sample_count(), planes.size());
+
+  ReplayBuffer buffer(16);
+  runner.finish([&buffer](TrainSample&& s) { buffer.add(std::move(s)); });
+  ASSERT_EQ(buffer.size(), planes.size());
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    const TrainSample& s = buffer.at(i);
+    ASSERT_EQ(s.state.size(), planes[i].size());
+    for (std::size_t k = 0; k < s.state.size(); ++k) {
+      ASSERT_EQ(static_cast<float>(s.state[k]), planes[i][k]);
+    }
+  }
+
+  // A one-sample buffer's minibatch is that position's float planes, bit
+  // for bit.
+  ReplayBuffer one(1);
+  one.add(buffer.at(2));
+  Rng rng(1);
+  Tensor states, pis, zs;
+  one.sample_batch(rng, 2, {0, c4.encode_channels(), c4.height(), c4.width()},
+                   states, pis, zs);
+  for (int b = 0; b < 2; ++b) {
+    EXPECT_EQ(std::memcmp(states.data() + b * planes[2].size(),
+                          planes[2].data(), planes[2].size() * sizeof(float)),
+              0);
+  }
+}
+
+// Connect4 whose encoding puts 0.5 in its first cell: not a binary plane.
+class HalfCellConnect4 final : public Game {
+ public:
+  std::unique_ptr<Game> clone() const override {
+    return std::make_unique<HalfCellConnect4>(*this);
+  }
+  int action_count() const override { return g_.action_count(); }
+  int height() const override { return g_.height(); }
+  int width() const override { return g_.width(); }
+  std::string name() const override { return "half-cell-connect4"; }
+  int current_player() const override { return g_.current_player(); }
+  bool is_terminal() const override { return g_.is_terminal(); }
+  int winner() const override { return g_.winner(); }
+  int move_count() const override { return g_.move_count(); }
+  bool is_legal(int action) const override { return g_.is_legal(action); }
+  void legal_actions(std::vector<int>& out) const override {
+    g_.legal_actions(out);
+  }
+  void apply(int action) override { g_.apply(action); }
+  std::uint64_t hash() const override { return g_.hash(); }
+  void encode(float* planes) const override {
+    g_.encode(planes);
+    planes[0] = 0.5f;
+  }
+  std::string to_string() const override { return g_.to_string(); }
+
+ private:
+  Connect4 g_;
+};
+
+TEST(SelfPlayDeathTest, NonBinaryEncodingFailsTheByteCheck) {
+  const HalfCellConnect4 game;
+  EpisodeRunner runner(game, SelfPlayConfig{});
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(runner.step(first_legal(nullptr)), "other than 0 or 1");
 }
 
 TEST(Trainer, LossDecreasesOverPipelineRun) {

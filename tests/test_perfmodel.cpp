@@ -45,6 +45,30 @@ TEST(PerfModel, LocalCpuWaveIsMaxOfIntreeAndDnn) {
   EXPECT_GT(m.local_cpu_wave_us(512), m.local_cpu_wave_us(256) * 1.5);
 }
 
+TEST(PerfModel, LocalCpuWaveChargesNOverSEvaluationsPerThread) {
+  const ProfiledCosts c = paper_like_costs();
+  // S = N, by default or under a cap of at least N: the paper's one T_DNN
+  // per wave.
+  const PerfModel paper(HardwareSpec{}, c);
+  const PerfModel capped(HardwareSpec{}, c, /*local_eval_threads=*/64);
+  for (const int n : {1, 2, 4, 8, 64}) {
+    EXPECT_EQ(paper.local_eval_threads(n), n);
+    EXPECT_EQ(capped.local_eval_threads(n), n);
+    EXPECT_EQ(capped.local_cpu_wave_us(n), paper.local_cpu_wave_us(n));
+  }
+  // S = 1 (an EvaluatorPool lane's one stream) at N = 4: the four requests
+  // of a wave run one after another, so the DNN term is 4·T_DNN.
+  const PerfModel one_stream(HardwareSpec{}, c, /*local_eval_threads=*/1);
+  EXPECT_EQ(one_stream.local_eval_threads(4), 1);
+  EXPECT_DOUBLE_EQ(one_stream.local_cpu_wave_us(4), 4.0 * c.t_dnn_cpu_us);
+  EXPECT_DOUBLE_EQ(one_stream.local_cpu_us(4), c.t_dnn_cpu_us);
+  // S = 2 at N = 8: four evaluations deep.
+  const PerfModel two_streams(HardwareSpec{}, c, /*local_eval_threads=*/2);
+  EXPECT_DOUBLE_EQ(two_streams.local_cpu_wave_us(8), 4.0 * c.t_dnn_cpu_us);
+  // Shared-tree workers evaluate on their own threads; S leaves Eq. 3 alone.
+  EXPECT_EQ(one_stream.shared_cpu_wave_us(4), paper.shared_cpu_wave_us(4));
+}
+
 TEST(PerfModel, AmortizedSharedCpuDecreasesThenSaturates) {
   PerfModel m(HardwareSpec{}, paper_like_costs());
   EXPECT_GT(m.shared_cpu_us(1), m.shared_cpu_us(16));

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -427,6 +430,19 @@ TEST(SerialSearch, PinnedReuseTraceOverTaggedQueueWithCacheAndTt) {
   EXPECT_LT(queue.stats().tag_slots.at(0), 2 * slots);
 }
 
+// Each thread that evaluates through a ThreadRecordingEvaluator takes an
+// ordinal from one process-wide counter, so a new thread counts as new even
+// when it inherits a joined thread's std::thread::id (glibc reuses them).
+// tags_exited counts the tagged threads that have ended: a thread's
+// thread_local tag is destroyed before its join() returns.
+std::atomic<int> tags_issued{0};
+std::atomic<int> tags_exited{0};
+
+struct ThreadTag {
+  const int ordinal = tags_issued.fetch_add(1);
+  ~ThreadTag() { tags_exited.fetch_add(1); }
+};
+
 // Records every thread evaluate() runs on, with its call count.
 class ThreadRecordingEvaluator final : public Evaluator {
  public:
@@ -434,9 +450,11 @@ class ThreadRecordingEvaluator final : public Evaluator {
   int action_count() const override { return inner_.action_count(); }
   std::size_t input_size() const override { return inner_.input_size(); }
   void evaluate(const float* input, EvalOutput& out) override {
+    thread_local ThreadTag tag;
     {
       std::lock_guard lock(mu_);
       ++calls_[std::this_thread::get_id()];
+      ordinals_.insert(tag.ordinal);
     }
     inner_.evaluate(input, out);
   }
@@ -450,11 +468,18 @@ class ThreadRecordingEvaluator final : public Evaluator {
     std::lock_guard lock(mu_);
     return calls_;
   }
+  // The ordinals of the threads that evaluated: unlike threads(), this
+  // grows when a joined thread is replaced by a new one.
+  std::set<int> ordinals() const {
+    std::lock_guard lock(mu_);
+    return ordinals_;
+  }
 
  private:
   Evaluator& inner_;
   mutable std::mutex mu_;
   std::map<std::thread::id, int> calls_;
+  std::set<int> ordinals_;
 };
 
 TEST(SerialSearch, EvaluatesOnlyOnTheCallingThread) {
@@ -517,6 +542,68 @@ TEST(ThreadModel, LeafParallelEvaluatesDuplicatesOffTheCallingThread) {
   EXPECT_EQ(calls[std::this_thread::get_id()], 1);  // the root only
   EXPECT_GT(calls.size(), 1u);
   EXPECT_LE(calls.size(), 4u);
+}
+
+// Live threads of this process (Linux: /proc/self/status), -1 elsewhere.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int n = -1;
+      status >> n;
+      return n;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return -1;
+}
+
+// The SharedTree crew: N−1 helpers started by the first parallel search,
+// parked between moves and joined by the destructor. A 20 µs evaluation
+// keeps every worker busy long enough to take playouts on every move.
+TEST(SharedTreeCrew, ReusesItsHelpersAcrossSearches) {
+  const Gomoku g(5, 4);
+  SyntheticEvaluator inner(g.action_count(), g.encode_size(),
+                           /*latency_us=*/20.0);
+  ThreadRecordingEvaluator eval(inner);
+  const int exited_before = tags_exited.load();
+  {
+    SharedTreeMcts search(quick_config(200), 4, eval);
+    for (int move = 0; move < 3; ++move) {
+      const SearchResult r = search.search(g);
+      EXPECT_EQ(r.metrics.playouts, 200);
+    }
+    // Three moves evaluated on the same four threads, none of which exited.
+    EXPECT_LE(eval.ordinals().size(), 4u);
+    EXPECT_GT(eval.ordinals().size(), 1u);
+    EXPECT_EQ(tags_exited.load(), exited_before);
+  }
+  // Destroying the driver joined every helper; the calling thread remains.
+  EXPECT_EQ(tags_exited.load() - exited_before,
+            static_cast<int>(eval.ordinals().size()) - 1);
+}
+
+TEST(SharedTreeCrew, StartsOnTheFirstParallelSearchAndJoinsOnDestruction) {
+  const int base = process_threads();
+  if (base < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  const Gomoku g(5, 4);
+  SyntheticEvaluator eval(g.action_count(), g.encode_size());
+  {
+    auto serial = make_search(Scheme::kSerial, quick_config(50), 1,
+                              {.evaluator = &eval});
+    serial->search(g);
+    EXPECT_EQ(process_threads(), base);  // a serial search starts no thread
+  }
+  {
+    SharedTreeMcts search(quick_config(50), 4, eval);
+    EXPECT_EQ(process_threads(), base);  // no thread before the first move
+    search.search(g);
+    EXPECT_EQ(process_threads(), base + 3);
+    search.search(g);
+    EXPECT_EQ(process_threads(), base + 3);  // parked, not respawned
+  }
+  EXPECT_EQ(process_threads(), base);  // the destructor joined the crew
 }
 
 TEST(RootNoise, ChangesExplorationButKeepsDistribution) {

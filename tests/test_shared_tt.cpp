@@ -198,6 +198,51 @@ TEST(SharedTt, InvalidateClearsOneLanesTtAndCacheOnly) {
   EXPECT_EQ(pool.lane_stats(id_b).tt.entries, 1u);
 }
 
+TEST(SharedTt, LaneTableSlabIsSizedToTheActionCount) {
+  // No position has more legal actions than the lane's backend has
+  // outputs, so the pool clamps each lane table's per-entry slab to that
+  // count: 7 edges on Connect4, 40 (the default) on 9×9 Gomoku.
+  const Connect4 c4;
+  const Gomoku g9(9, 5);
+  ModelRig r7(c4), r81(g9);
+  EvaluatorPool pool;
+  ModelSpec s7;
+  s7.name = "connect4";
+  s7.backend = &r7.backend;
+  s7.tt = lane_tt(256, /*max_edges=*/40);
+  ModelSpec s81 = s7;
+  s81.name = "gomoku9";
+  s81.backend = &r81.backend;
+  const int id7 = pool.add_model(s7);
+  const int id81 = pool.add_model(s81);
+  EXPECT_EQ(pool.transposition(id7)->config().max_edges, 7);
+  EXPECT_EQ(pool.transposition(id81)->config().max_edges, 40);
+
+  // A Connect4 expansion (every column legal, priors from the lane's
+  // evaluator) stores in the 7-edge slab and probes back identically.
+  std::vector<float> input(c4.encode_size());
+  c4.encode(input.data());
+  EvalOutput out;
+  r7.eval.evaluate(input.data(), out);
+  std::vector<int> legal;
+  c4.legal_actions(legal);
+  ASSERT_EQ(legal.size(), 7u);
+  std::vector<TtEdge> edges;
+  for (const int a : legal) {
+    edges.push_back(make_edge(a, out.policy[static_cast<std::size_t>(a)]));
+  }
+  TranspositionTable& tt = *pool.transposition(id7);
+  tt.store(c4.eval_key(), out.value, 0, edges.data(), 7, 0, false);
+  TtView view;
+  ASSERT_EQ(tt.probe(c4.eval_key(), view), TtProbeResult::kHit);
+  EXPECT_EQ(view.value, out.value);
+  ASSERT_EQ(view.edges.size(), edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(view.edges[i].action, edges[i].action);
+    EXPECT_EQ(view.edges[i].prior, edges[i].prior);
+  }
+}
+
 TEST(SharedTt, SharedClockSurvivesAnotherEnginesReset) {
   // Two engines over one shared table (the MatchService wiring in
   // miniature): engine B finishing its game and resetting must neither
