@@ -1,7 +1,7 @@
-// GEMM kernel micro-bench: the seed scalar kernel vs the packed 4x16
-// register-blocked kernel, the int8 quantized kernel vs the fp32 packed
-// kernel, the fused bias+ReLU epilogue, and the end-to-end PolicyValueNet
-// batch sweep (fp32 and int8), all on one thread. Writes a JSON
+// GEMM kernel micro-bench: the seed scalar kernel vs the register-blocked
+// kernel, the int8 quantized kernel vs the fp32 kernel, the fused bias+ReLU
+// epilogue, the 9x9 paper trunk's conv shapes (lowered vs direct), and the
+// end-to-end PolicyValueNet batch sweep (fp32 and int8), all on one thread. Writes a JSON
 // baseline (default BENCH_gemm.json, or argv[1]) so kernel regressions are
 // diffable — the ISSUE-1 acceptance numbers (single-thread GFLOP/s uplift
 // at 256^3, batch-64 vs batch-1 per-position latency) and the ISSUE-6
@@ -16,6 +16,7 @@
 
 #include "bench_common.hpp"
 #include "eval/net_evaluator.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/policy_value_net.hpp"
 #include "nn/quantize.hpp"
 #include "support/timer.hpp"
@@ -220,6 +221,49 @@ int main(int argc, char** argv) {
                  "GFLOP/s");
       json.entry(std::string("gemm_abt_pretrans_speedup_") + s.tag,
                  g_pre / g_gather, "x");
+    }
+  }
+
+  // --- the 9x9 paper trunk's conv shapes ----------------------------------
+  // conv2 (64 x 288) and conv3 (128 x 576) at N = 81*B: the lowering the
+  // profile pass times (im2col_batched + gemm_bias_relu on the weights)
+  // against Conv2d::forward, which gathers its panels from the input.
+  {
+    struct ConvShape {
+      const char* tag;
+      int cin, cout;
+    };
+    for (const ConvShape cs : {ConvShape{"conv2", 32, 64},
+                               ConvShape{"conv3", 64, 128}}) {
+      Conv2d conv(cs.tag, cs.cin, cs.cout, 3);
+      conv.init(rng);
+      const int kk = cs.cin * 9;
+      for (const int batch : {1, 4, 8}) {
+        const int cols = batch * 81;
+        Tensor x = Tensor::randn({batch, cs.cin, 9, 9}, rng, 1.0f);
+        Tensor col({kk, cols}), out({cs.cout, cols}), y;
+        ConvWorkspace ws;
+        const double s_lowered = best_seconds([&] {
+          im2col_batched(x.data(), batch, cs.cin, 9, 9, 3, 1, col.data());
+          gemm_bias_relu(conv.weight().value.data(), col.data(),
+                         conv.bias().value.data(), out.data(), cs.cout, cols,
+                         kk, true);
+        });
+        const double s_direct = best_seconds(
+            [&] { conv.forward(x, y, ws, nullptr, /*fuse_relu=*/true); });
+        const std::string tag =
+            std::string(cs.tag) + "_b" + std::to_string(batch);
+        const double g_lowered = gflops(cs.cout, cols, kk, s_lowered);
+        const double g_direct = gflops(cs.cout, cols, kk, s_direct);
+        std::printf("%s (%dx%d, N=%d): im2col+gemm %7.1f us %6.1f GFLOP/s   "
+                    "Conv2d::forward %7.1f us %6.1f GFLOP/s\n",
+                    tag.c_str(), cs.cout, kk, cols, s_lowered * 1e6,
+                    g_lowered, s_direct * 1e6, g_direct);
+        json.entry(tag + "_im2col_gemm_us", s_lowered * 1e6, "us");
+        json.entry(tag + "_im2col_gemm_gflops", g_lowered, "GFLOP/s");
+        json.entry(tag + "_forward_us", s_direct * 1e6, "us");
+        json.entry(tag + "_forward_gflops", g_direct, "GFLOP/s");
+      }
     }
   }
 

@@ -1,5 +1,6 @@
 #include "eval/eval_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <mutex>
 
@@ -42,7 +43,9 @@ bool EvalCache::lookup(std::uint64_t key, EvalOutput& out, bool count) {
     Entry& e = s.entries[base + w];
     if (e.valid && e.key == key) {  // full 64-bit match, never a placement alias
       e.referenced = 1;
-      out = e.out;
+      const float* policy = s.policies.data() + (base + w) * s.width;
+      out.policy.assign(policy, policy + s.width);
+      out.value = e.value;
       if (count) ++s.hits;
       return true;
     }
@@ -55,14 +58,26 @@ void EvalCache::insert(std::uint64_t key, const EvalOutput& out) {
   const std::size_t base = set_base(key);
   const std::size_t set = base / ways_;
   std::lock_guard guard(s.lock);
+  if (s.inserts == 0) {  // the shard's first insert sizes its slab
+    s.width = out.policy.size();
+    s.policies.resize(s.entries.size() * s.width);
+  }
+  APM_CHECK_MSG(out.policy.size() == s.width,
+                "EvalCache policies must all have one width");
+  const auto store = [&](std::size_t slot) {
+    Entry& e = s.entries[slot];
+    e.value = out.value;
+    e.referenced = 1;
+    std::copy(out.policy.begin(), out.policy.end(),
+              s.policies.begin() + static_cast<std::ptrdiff_t>(slot * s.width));
+  };
   ++s.inserts;
   // Refresh a resident key in place (a racing duplicate primary, or a
   // re-insert after clear() raced a lookup).
   for (std::size_t w = 0; w < ways_; ++w) {
     Entry& e = s.entries[base + w];
     if (e.valid && e.key == key) {
-      e.out = out;
-      e.referenced = 1;
+      store(base + w);
       return;
     }
   }
@@ -85,8 +100,7 @@ void EvalCache::insert(std::uint64_t key, const EvalOutput& out) {
   }
   e.key = key;
   e.valid = true;
-  e.referenced = 1;
-  e.out = out;
+  store(base + victim);
   hand = static_cast<std::uint8_t>((victim + 1) % ways_);
 }
 

@@ -27,13 +27,22 @@
 //
 //  * Set-associative placement, CLOCK eviction. Each shard is an array of
 //    fixed sets of `ways` entries (the next key bits select the set), so
-//    capacity is fixed up front — no rehashing, no allocation after
-//    construction (except the cached EvalOutput policies themselves). Each
+//    capacity is fixed up front — no rehashing, and no allocation after a
+//    shard's first insert. Each
 //    set runs a CLOCK (second-chance) sweep: a hit sets the entry's
 //    reference bit; the victim scan starts at the set's rotating hand and
 //    takes the first entry with a clear bit, clearing bits as it passes —
 //    an LRU approximation whose state is one bit per entry and one hand
 //    per set, cheap enough to sit under a spinlock.
+//
+//  * Entry layout. An Entry is 16 bytes: {key, value, valid, referenced}.
+//    Each shard keeps its entries' policies in one float slab, row e
+//    belonging to entry e, sized on the shard's first insert from that
+//    insert's policy width (one cache serves one model, so every policy
+//    has the same width; a later insert of another width fails a check).
+//    A lookup assigns the policy from the slab. This replaced a 48-byte
+//    entry holding its EvalOutput, whose policy vector was a heap chunk of
+//    its own (48 B for Connect4's 7 floats, 336 B for Gomoku 9x9's 81).
 //
 //  * Full-key verification. Set and shard indices use only a fraction of
 //    the key bits, so every entry stores the complete 64-bit key and a
@@ -132,15 +141,17 @@ class EvalCache {
  private:
   struct Entry {
     std::uint64_t key = 0;
+    float value = 0.0f;
     bool valid = false;
     std::uint8_t referenced = 0;  // CLOCK second-chance bit
-    EvalOutput out;
   };
 
   // Cache-line aligned so two shards' locks/counters never share a line.
   struct alignas(64) Shard {
     mutable SpinLock lock;
     std::vector<Entry> entries;       // sets_ × ways_, set-major
+    std::vector<float> policies;      // entries.size() × width, row-major
+    std::size_t width = 0;            // policy width; set by the 1st insert
     std::vector<std::uint8_t> hands;  // per-set CLOCK hand
     std::size_t lookups = 0;
     std::size_t hits = 0;

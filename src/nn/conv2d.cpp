@@ -25,85 +25,24 @@ void Conv2d::init(Rng& rng) {
   b_.value.zero();
 }
 
-void conv_forward_chunked(
-    const Tensor& x, Tensor& y, ConvWorkspace& ws, int in_channels,
-    int out_channels, int ksize, int pad, Tensor* col_cache,
-    const std::function<void(const float* col, int cols, float* out)>&
-        gemm_chunk) {
-  APM_CHECK(x.rank() == 4 && x.dim(1) == in_channels);
-  const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int hw = h * w;
-  const int kk = in_channels * ksize * ksize;
-  y.resize({batch, out_channels, h, w});
-  if (col_cache != nullptr) col_cache->resize({batch, kk, hw});
-
-  // Cache-resident sub-batching: lower at most `chunk` samples at a time so
-  // the col buffer plus the pre-permute GEMM output stay within the
-  // workspace budget. Splitting the GEMM's N dimension keeps the per-element
-  // K-accumulation order intact, so chunked output is bitwise identical to
-  // the monolithic pass.
-  const std::size_t bytes_per_sample =
-      static_cast<std::size_t>(kk + out_channels) * hw * sizeof(float);
-  const int chunk = std::clamp(
-      static_cast<int>(ConvWorkspace::kColBudgetBytes /
-                       std::max<std::size_t>(1, bytes_per_sample)),
-      1, batch);
-
-  ws.col.resize({kk, chunk * hw});
-  if (chunk > 1) ws.ybuf.resize({out_channels, chunk * hw});
-  const std::size_t x_stride = static_cast<std::size_t>(in_channels) * hw;
-  const std::size_t y_stride = static_cast<std::size_t>(out_channels) * hw;
-  for (int b0 = 0; b0 < batch; b0 += chunk) {
-    const int bs = std::min(chunk, batch - b0);
-    im2col_batched(x.data() + b0 * x_stride, bs, in_channels, h, w, ksize,
-                   pad, ws.col.data());
-    if (col_cache != nullptr) {
-      // Backward consumes per-sample columns [B, kk, HW]; slice them out of
-      // the chunk-major buffer (row r of chunk-sample b is col[r] + b*HW).
-      for (int b = 0; b < bs; ++b) {
-        float* dst = col_cache->data() +
-                     static_cast<std::size_t>(b0 + b) * kk * hw;
-        for (int r = 0; r < kk; ++r) {
-          std::memcpy(dst + static_cast<std::size_t>(r) * hw,
-                      ws.col.data() +
-                          (static_cast<std::size_t>(r) * bs + b) * hw,
-                      static_cast<std::size_t>(hw) * sizeof(float));
-        }
-      }
-    }
-
-    if (bs == 1) {
-      // y_b[Cout, HW] = W[Cout, kk] * col[kk, HW] + b, fused epilogue —
-      // channel-major output IS the sample's layout, no permute needed.
-      gemm_chunk(ws.col.data(), hw, y.data() + b0 * y_stride);
-      continue;
-    }
-    // ybuf[Cout, bs*HW] = W[Cout, kk] * col[kk, bs*HW] + b, then permute
-    // the channel-major GEMM output back to [bs, Cout, HW]. The permute is
-    // one contiguous HW-row copy per (b, oc) — negligible next to the 2·kk
-    // FLOPs/element GEMM it amortises.
-    gemm_chunk(ws.col.data(), bs * hw, ws.ybuf.data());
-    for (int b = 0; b < bs; ++b) {
-      float* yb = y.data() + (b0 + b) * y_stride;
-      for (int oc = 0; oc < out_channels; ++oc) {
-        std::memcpy(yb + static_cast<std::size_t>(oc) * hw,
-                    ws.ybuf.data() +
-                        (static_cast<std::size_t>(oc) * bs + b) * hw,
-                    static_cast<std::size_t>(hw) * sizeof(float));
-      }
-    }
-  }
-}
-
-void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
+void Conv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& /*ws*/,
                      Tensor* col_cache, bool fuse_relu) const {
+  APM_CHECK(x.rank() == 4 && x.dim(1) == in_channels_);
+  const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  y.resize({batch, out_channels_, h, w});
+  conv2d_bias_relu(w_.value.data(), x.data(), b_.value.data(), y.data(),
+                   batch, in_channels_, h, w, ksize_, out_channels_,
+                   fuse_relu);
+  if (col_cache == nullptr) return;
+  // Training: backward consumes each sample's columns [B, kk, HW].
+  const int hw = h * w;
   const int kk = in_channels_ * ksize_ * ksize_;
-  conv_forward_chunked(
-      x, y, ws, in_channels_, out_channels_, ksize_, pad_, col_cache,
-      [&](const float* col, int cols, float* out) {
-        gemm_bias_relu(w_.value.data(), col, b_.value.data(), out,
-                       out_channels_, cols, kk, fuse_relu);
-      });
+  col_cache->resize({batch, kk, hw});
+  for (int b = 0; b < batch; ++b) {
+    im2col(x.data() + static_cast<std::size_t>(b) * in_channels_ * hw,
+           in_channels_, h, w, ksize_, pad_,
+           col_cache->data() + static_cast<std::size_t>(b) * kk * hw);
+  }
 }
 
 void Conv2d::backward(const Tensor& dy, const Tensor& col_cache, Tensor& dx,

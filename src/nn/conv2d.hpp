@@ -1,11 +1,17 @@
 #pragma once
-// Stride-1, same-padding 2-D convolution via whole-batch im2col + one GEMM.
+// Stride-1, same-padding 2-D convolution.
 //
-// forward() lowers the entire batch at once (col buffer [Cin*k*k, B*H*W])
-// and runs a single large GEMM per layer instead of B tiny ones, with the
-// bias broadcast and optional ReLU fused into the GEMM store epilogue. All
-// scratch lives in a caller-owned ConvWorkspace so the inference hot path
-// allocates nothing once the workspace is warm.
+// fp32 inference runs conv2d_bias_relu (tensor/ops.hpp): the GEMM reads the
+// weights in place and gathers its B panels straight from a zero-padded
+// copy of the input, so no lowered (im2col) column buffer is built and the
+// output lands in [B, Cout, H, W] order directly, with the bias and
+// optional ReLU fused into the store epilogue.
+//
+// What remains of the im2col lowering serves two callers: training, where
+// forward() also writes each sample's columns into the caller's col cache
+// for backward(), and the int8 conv (QuantizedConv2d, nn/quantize.cpp),
+// whose kernel packs quantized activations from columns and lowers its
+// input in sub-batches through a ConvWorkspace.
 //
 // Thread-safety contract: forward() is const and reads only the weights, so
 // any number of inference threads may call it concurrently as long as each
@@ -14,7 +20,6 @@
 // single-threaded by design, matching the paper's separate "DNN training
 // stage").
 
-#include <functional>
 #include <vector>
 
 #include "nn/param.hpp"
@@ -22,8 +27,9 @@
 
 namespace apm {
 
-// Reusable scratch for conv forward: the batched im2col buffer and the
-// pre-permute GEMM output. One per inference thread, shared by all layers.
+// Scratch for the int8 conv's lowering (QuantizedConv2d): the batched
+// im2col buffer and the pre-permute GEMM output. One per inference thread,
+// shared by all layers; the fp32 forward does not touch it.
 //
 // kColBudgetBytes bounds the resident scratch (col chunk + ybuf chunk):
 // very large batches are lowered in cache-resident sub-batches instead of
@@ -36,20 +42,6 @@ struct ConvWorkspace {
   Tensor ybuf;  // [Cout, chunk*H*W] (GEMM output before the B-major permute)
 };
 
-// Shared driver for the chunked whole-batch im2col forward pass, used by
-// Conv2d and QuantizedConv2d so both precisions run the identical lowering,
-// sub-batching and output-permute logic and differ only in the GEMM they
-// invoke. Lowers x[B, Cin, H, W] in cache-resident sub-batches and calls
-// gemm_chunk(col, cols, out) per chunk, where col is [Cin*k*k, cols],
-// cols = bs*H*W, and out is a [Cout, cols] destination — either y directly
-// (single-sample chunk, channel-major output needs no permute) or ws.ybuf,
-// which the driver then permutes back to [bs, Cout, HW].
-void conv_forward_chunked(
-    const Tensor& x, Tensor& y, ConvWorkspace& ws, int in_channels,
-    int out_channels, int ksize, int pad, Tensor* col_cache,
-    const std::function<void(const float* col, int cols, float* out)>&
-        gemm_chunk);
-
 class Conv2d {
  public:
   // ksize must be odd; padding is ksize/2 (output size == input size).
@@ -59,8 +51,10 @@ class Conv2d {
   void init(Rng& rng);
 
   // x: [B, Cin, H, W] -> y: [B, Cout, H, W] (ReLU'd when fuse_relu).
-  // ws: caller-owned scratch. When col_cache != nullptr it receives the
-  // per-image columns (needed by backward), laid out as [B, Cin*k*k, H*W].
+  // When col_cache != nullptr it receives the per-image columns (needed by
+  // backward), laid out as [B, Cin*k*k, H*W]. ws is the int8 conv's scratch;
+  // this fp32 pass does not use it, and takes it so both precisions share
+  // one call shape.
   void forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
                Tensor* col_cache = nullptr, bool fuse_relu = false) const;
 

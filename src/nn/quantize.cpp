@@ -1,5 +1,6 @@
 #include "nn/quantize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -20,6 +21,66 @@ void flatten_view(Tensor& x) {
 
 std::vector<float> tensor_to_vec(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+// Chunked whole-batch im2col forward pass, the int8 conv's lowering.
+// Lowers x[B, Cin, H, W] in cache-resident sub-batches and calls
+// gemm_chunk(col, cols, out) per chunk, where col is [Cin*k*k, cols],
+// cols = bs*H*W, and out is a [Cout, cols] destination — either y directly
+// (single-sample chunk, channel-major output needs no permute) or ws.ybuf,
+// which the driver then permutes back to [bs, Cout, HW]. The GEMM is a
+// template parameter, so the call allocates nothing once ws is warm.
+template <typename GemmChunk>
+void conv_forward_chunked(const Tensor& x, Tensor& y, ConvWorkspace& ws,
+                          int in_channels, int out_channels, int ksize,
+                          int pad, const GemmChunk& gemm_chunk) {
+  APM_CHECK(x.rank() == 4 && x.dim(1) == in_channels);
+  const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const int hw = h * w;
+  const int kk = in_channels * ksize * ksize;
+  y.resize({batch, out_channels, h, w});
+
+  // Cache-resident sub-batching: lower at most `chunk` samples at a time so
+  // the col buffer plus the pre-permute GEMM output stay within the
+  // workspace budget. Splitting the GEMM's N dimension keeps the per-element
+  // K-accumulation order intact, so chunked output is bitwise identical to
+  // the monolithic pass.
+  const std::size_t bytes_per_sample =
+      static_cast<std::size_t>(kk + out_channels) * hw * sizeof(float);
+  const int chunk = std::clamp(
+      static_cast<int>(ConvWorkspace::kColBudgetBytes /
+                       std::max<std::size_t>(1, bytes_per_sample)),
+      1, batch);
+
+  ws.col.resize({kk, chunk * hw});
+  if (chunk > 1) ws.ybuf.resize({out_channels, chunk * hw});
+  const std::size_t x_stride = static_cast<std::size_t>(in_channels) * hw;
+  const std::size_t y_stride = static_cast<std::size_t>(out_channels) * hw;
+  for (int b0 = 0; b0 < batch; b0 += chunk) {
+    const int bs = std::min(chunk, batch - b0);
+    im2col_batched(x.data() + b0 * x_stride, bs, in_channels, h, w, ksize,
+                   pad, ws.col.data());
+    if (bs == 1) {
+      // y_b[Cout, HW] = W[Cout, kk] * col[kk, HW] + b, fused epilogue —
+      // channel-major output IS the sample's layout, no permute needed.
+      gemm_chunk(ws.col.data(), hw, y.data() + b0 * y_stride);
+      continue;
+    }
+    // ybuf[Cout, bs*HW] = W[Cout, kk] * col[kk, bs*HW] + b, then permute
+    // the channel-major GEMM output back to [bs, Cout, HW]. The permute is
+    // one contiguous HW-row copy per (b, oc) — negligible next to the 2·kk
+    // FLOPs/element GEMM it amortises.
+    gemm_chunk(ws.col.data(), bs * hw, ws.ybuf.data());
+    for (int b = 0; b < bs; ++b) {
+      float* yb = y.data() + (b0 + b) * y_stride;
+      for (int oc = 0; oc < out_channels; ++oc) {
+        std::memcpy(yb + static_cast<std::size_t>(oc) * hw,
+                    ws.ybuf.data() +
+                        (static_cast<std::size_t>(oc) * bs + b) * hw,
+                    static_cast<std::size_t>(hw) * sizeof(float));
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -60,7 +121,7 @@ void QuantizedConv2d::forward(const Tensor& x, Tensor& y, ConvWorkspace& ws,
   const int kk = in_channels_ * ksize_ * ksize_;
   conv_forward_chunked(
       x, y, ws, in_channels_, out_channels_, ksize_, pad_,
-      /*col_cache=*/nullptr, [&](const float* col, int cols, float* out) {
+      [&](const float* col, int cols, float* out) {
         gemm_q8_bias_relu(wq_.data(), wscale_.data(), col, bias_.data(), out,
                           out_channels_, cols, kk, fuse_relu);
       });

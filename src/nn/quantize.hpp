@@ -40,9 +40,10 @@ struct QuantizeSpec {
   bool operator==(const QuantizeSpec&) const = default;
 };
 
-// Inference-only conv with per-output-channel int8 weights. Runs the same
-// chunked im2col driver as Conv2d (conv_forward_chunked), so the only
-// difference in the pipeline is the GEMM kernel.
+// Inference-only conv with per-output-channel int8 weights. Lowers its
+// input with the chunked im2col driver (conv_forward_chunked) and runs
+// gemm_q8_bias_relu on the columns, whose pack quantizes them; the fp32
+// Conv2d gathers its panels from the input instead.
 class QuantizedConv2d {
  public:
   explicit QuantizedConv2d(const Conv2d& src);

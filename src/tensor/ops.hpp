@@ -1,6 +1,6 @@
 #pragma once
-// Tensor kernels: packed register-blocked GEMM, im2col/col2im, activations,
-// softmax.
+// Tensor kernels: register-blocked GEMM, direct convolution, im2col/col2im,
+// activations, softmax.
 //
 // Layout contracts (all row-major):
 //   gemm        : C[M,N] (+)= A[M,K] * B[K,N]
@@ -9,12 +9,42 @@
 // These three cover forward, weight-gradient and input-gradient passes of
 // both Linear and (via im2col) Conv2d without materialising transposes.
 //
-// The gemm/gemm_atb family runs on one shared driver: A and B are packed
-// into L1-resident panels and consumed by a 4x16 register-blocked
-// micro-kernel (MR x NR accumulators held across the whole K loop, no
-// per-element branches). The driver optionally fuses a per-row bias
-// broadcast and a ReLU into the store epilogue (one pass over C instead of
-// GEMM + bias pass + ReLU pass). Every GEMM runs on its calling thread.
+// Every fp32 GEMM runs one tile loop. The micro-kernel holds a tile of C in
+// registers across a 256-deep K block: 8 rows x 32 columns in 16 zmm
+// accumulators when the build targets AVX-512 (__AVX512F__), otherwise
+// 4 x 16 on 8-lane vectors. It reads the A operand in place — row-major
+// rows broadcast straight from memory, rows past M from a static zero row
+// — and only B is packed, one kNR-wide panel at a time. In every inference
+// GEMM A is the constant weights: gemm_bias_relu and conv2d_bias_relu take
+// them as A directly, and gemm_abt_bias_relu computes W * x^T and stores
+// the tile transposed. The driver fuses a bias broadcast and a ReLU into
+// the store epilogue (one pass over C instead of GEMM + bias pass + ReLU
+// pass). Every GEMM runs on its calling thread.
+//
+// Rounding contract: each output element is one FMA chain from +0 per K
+// block, in K order; the blocks are added onto C in order, then the bias,
+// then ReLU. The tile shape, operand layout and panel source never change
+// that order, so every kernel and both tiles give the same bits (pinned by
+// the ArithmeticOrder tests against a scalar model).
+//
+// Verdicts behind the current shape (4-core AVX-512 host, one thread; the
+// 9x9 paper net's conv3 is M=128 channels, K=576, N=81 per sample):
+//  * The 8x32 zmm tile replaced the 4x16 tile on 8-lane vectors, which
+//    filled half of each zmm register: a 256^3 GEMM went from 42.3 to
+//    80.2 GFLOP/s (micro_gemm, BENCH_gemm.json).
+//  * Weights read in place beat packing them on every call: in a prototype
+//    of this driver, conv3's batch-1 GEMM fell from 235-252 to 188-198 us.
+//    A copy packed once at load is not kept, because the trainer updates
+//    the same net the lanes serve, so it would need invalidating after
+//    every optimizer step and checkpoint load.
+//  * conv2d_bias_relu gathers its B panels straight from a zero-padded copy
+//    of the input, with no im2col buffer. In a traced selfplay_gomoku9 run
+//    it took conv3 in 208 us against 54 us of im2col plus 208 us of GEMM on
+//    the columns, conv2 in 62 against 28 + 62, and the 1x1 policy conv in 8
+//    against 11 + 10: the gather costs the GEMM nothing and the lowering
+//    pass goes away. The prototype's scalar direct pack without the gather
+//    instructions measured no better than im2col (179.9 vs 178.8 us), so
+//    the gather is what pays.
 //
 // Verdict on intra-op sharding (deleted): a thread pool that split each
 // GEMM's row blocks or column ranges across threads took a 512^3 GEMM from
@@ -26,12 +56,12 @@
 // pool would only contend for the same cores. Parallelism lives above the
 // kernels.
 //
-// The gemm_q8 family is the int8 inference path hosted by the same driver
-// skeleton: weights arrive pre-quantized (symmetric per-output-channel
+// The gemm_q8 family is the int8 inference path. It keeps the packed
+// 4x16 driver: weights arrive pre-quantized (symmetric per-output-channel
 // int8, quantize_rows_int8), activations are quantized to unsigned 8-bit
 // during the pack step with an asymmetric per-(K-block, lane) min/scale,
-// the 4x16 micro-kernel widen-accumulates u8 x s8 products into int32
-// (AVX-512 VNNI vpdpbusd when available, exact scalar otherwise), and the
+// the micro-kernel widen-accumulates u8 x s8 products into int32 (AVX-512
+// VNNI vpdpbusd when available, exact scalar otherwise), and the
 // dequantization — plus the same fused bias/ReLU — happens in the store
 // epilogue. Integer accumulation is exact, so int8 results are bitwise
 // identical across the SIMD/scalar kernels.
@@ -68,6 +98,16 @@ void gemm_abt(const float* a, const float* b, float* c, int m, int n, int k,
 // may be nullptr.
 void gemm_abt_bias_relu(const float* a, const float* b, const float* bias,
                         float* c, int m, int n, int k, bool relu);
+
+// Stride-1 "same" convolution forward, fp32 inference:
+// y[B, M, H, W] = W[M, C*k*k] * lower(x[B, C, H, W]) + bias[row], then ReLU
+// when `relu`, with padding k/2. The lowered input is never built: the B
+// panels are gathered straight from a zero-padded copy of x, and the output
+// is written in [B, M, H, W] order directly. Bitwise equal to im2col_batched
+// followed by gemm_bias_relu and the permute. `bias` may be nullptr.
+void conv2d_bias_relu(const float* w, const float* x, const float* bias,
+                      float* y, int batch, int channels, int height,
+                      int width, int ksize, int out_channels, bool relu);
 
 // --- int8 quantized GEMM family ---------------------------------------------
 

@@ -6,25 +6,30 @@
 
 namespace apm {
 
-void Tensor::resize(std::vector<int> shape) {
+namespace {
+
+std::size_t element_count(const int* dims, std::size_t rank) {
   std::size_t n = 1;
-  for (int d : shape) {
-    APM_CHECK_MSG(d >= 0, "negative tensor dimension");
-    n *= static_cast<std::size_t>(d);
+  for (std::size_t i = 0; i < rank; ++i) {
+    APM_CHECK_MSG(dims[i] >= 0, "negative tensor dimension");
+    n *= static_cast<std::size_t>(dims[i]);
   }
-  shape_ = std::move(shape);
+  return n;
+}
+
+}  // namespace
+
+void Tensor::resize(const int* dims, std::size_t rank) {
+  const std::size_t n = element_count(dims, rank);
+  if (dims != shape_.data()) shape_.assign(dims, dims + rank);
   numel_ = n;
   if (data_.size() < n) data_.resize(n);
 }
 
-void Tensor::reshape(std::vector<int> shape) {
-  std::size_t n = 1;
-  for (int d : shape) {
-    APM_CHECK_MSG(d >= 0, "negative tensor dimension");
-    n *= static_cast<std::size_t>(d);
-  }
-  APM_CHECK_MSG(n == numel_, "reshape must preserve the element count");
-  shape_ = std::move(shape);
+void Tensor::reshape(const int* dims, std::size_t rank) {
+  APM_CHECK_MSG(element_count(dims, rank) == numel_,
+                "reshape must preserve the element count");
+  if (dims != shape_.data()) shape_.assign(dims, dims + rank);
 }
 
 std::string Tensor::shape_str() const {
@@ -63,14 +68,14 @@ void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
   }
 }
 
-Tensor Tensor::zeros(std::vector<int> shape) {
-  Tensor t(std::move(shape));
+Tensor Tensor::zeros(const std::vector<int>& shape) {
+  Tensor t(shape);
   t.zero();
   return t;
 }
 
-Tensor Tensor::randn(std::vector<int> shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+Tensor Tensor::randn(const std::vector<int>& shape, Rng& rng, float stddev) {
+  Tensor t(shape);
   t.fill_randn(rng, stddev);
   return t;
 }

@@ -5,7 +5,10 @@
 // shapes, no views/broadcasting — every op in ops.hpp states its exact
 // layout contract. This keeps the inference path allocation-free once
 // workspaces are sized, which matters because the evaluator batch path sits
-// inside the MCTS iteration loop.
+// inside the MCTS iteration loop: resize() and reshape() copy the new shape
+// into the existing shape storage, and resize() reallocates the data only
+// when the element count grows, so a warm predict() makes no heap
+// allocation (PolicyValueNet.WarmPredictAllocatesNothing).
 
 #include <cstddef>
 #include <initializer_list>
@@ -21,17 +24,26 @@ class Tensor {
  public:
   Tensor() = default;
 
-  explicit Tensor(std::vector<int> shape) { resize(std::move(shape)); }
+  explicit Tensor(const std::vector<int>& shape) { resize(shape); }
 
-  Tensor(std::initializer_list<int> shape)
-      : Tensor(std::vector<int>(shape)) {}
+  Tensor(std::initializer_list<int> shape) { resize(shape); }
 
   // Reshapes, reallocating only when the element count grows.
-  void resize(std::vector<int> shape);
+  void resize(std::initializer_list<int> shape) {
+    resize(shape.begin(), shape.size());
+  }
+  void resize(const std::vector<int>& shape) {
+    resize(shape.data(), shape.size());
+  }
 
   // Reinterprets the same storage under a new shape with an identical
   // element count — a true view change, no copy and no reallocation.
-  void reshape(std::vector<int> shape);
+  void reshape(std::initializer_list<int> shape) {
+    reshape(shape.begin(), shape.size());
+  }
+  void reshape(const std::vector<int>& shape) {
+    reshape(shape.data(), shape.size());
+  }
 
   // --- shape ---
   const std::vector<int>& shape() const { return shape_; }
@@ -77,10 +89,13 @@ class Tensor {
   void fill_uniform(Rng& rng, float lo, float hi);
 
   // --- factories ---
-  static Tensor zeros(std::vector<int> shape);
-  static Tensor randn(std::vector<int> shape, Rng& rng, float stddev);
+  static Tensor zeros(const std::vector<int>& shape);
+  static Tensor randn(const std::vector<int>& shape, Rng& rng, float stddev);
 
  private:
+  void resize(const int* dims, std::size_t rank);
+  void reshape(const int* dims, std::size_t rank);
+
   std::vector<float> data_;
   std::vector<int> shape_;
   std::size_t numel_ = 0;

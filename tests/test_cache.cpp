@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -164,6 +165,58 @@ TEST(EvalCache, ClearInvalidatesEverythingButKeepsCounters) {
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.inserts, 2u);  // history survives the invalidation
+}
+
+TEST(EvalCache, SlabPolicyReadsBackBitwise) {
+  // One shard, one set of 2 ways, 81-wide policies (Gomoku 9x9): every
+  // read comes out of the shard's slab row, across an insert, a refresh
+  // in place, an eviction that reuses a row, and a clear().
+  EvalCache cache({.capacity = 2, .shards = 1, .ways = 2});
+  const auto expect_bitwise = [&](std::uint64_t key, const EvalOutput& want) {
+    EvalOutput got;
+    ASSERT_TRUE(cache.lookup(key, got)) << "key " << key;
+    ASSERT_EQ(got.policy.size(), want.policy.size());
+    EXPECT_EQ(std::memcmp(got.policy.data(), want.policy.data(),
+                          want.policy.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(&got.value, &want.value, sizeof(float)), 0);
+  };
+  cache.insert(1, output_for(1, 81));
+  cache.insert(2, output_for(2, 81));
+  expect_bitwise(1, output_for(1, 81));
+  expect_bitwise(2, output_for(2, 81));
+
+  EvalOutput refreshed = output_for(101, 81);
+  cache.insert(1, refreshed);  // refresh: same key, new result
+  expect_bitwise(1, refreshed);
+  expect_bitwise(2, output_for(2, 81));
+
+  cache.insert(3, output_for(3, 81));  // evicts one of {1, 2}
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  expect_bitwise(3, output_for(3, 81));
+  EvalOutput got;
+  if (cache.lookup(1, got)) {
+    expect_bitwise(1, refreshed);
+  } else {
+    expect_bitwise(2, output_for(2, 81));
+  }
+
+  cache.clear();
+  EXPECT_FALSE(cache.lookup(3, got));
+  cache.insert(4, output_for(4, 81));
+  expect_bitwise(4, output_for(4, 81));
+}
+
+TEST(EvalCacheDeathTest, PolicyWidthMismatchFailsACheck) {
+  // The first insert sizes the shard's slab rows; one cache serves one
+  // model, so a policy of another width is a wiring error.
+  EXPECT_DEATH(
+      {
+        EvalCache cache({.capacity = 8, .shards = 1, .ways = 2});
+        cache.insert(1, output_for(1, 7));
+        cache.insert(2, output_for(2, 9));
+      },
+      "one width");
 }
 
 TEST(EvalCache, ConcurrentMixedHammerStaysConsistent) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <thread>
 
@@ -13,8 +16,32 @@
 #include "nn/linear.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/policy_value_net.hpp"
+#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
+
+// --- global allocation counter (WarmPredictAllocatesNothing) ---------------
+// Counts every operator-new in the process, routed through malloc so it
+// composes with sanitizers.
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// GCC cannot see that these replacements pair malloc with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace apm {
 namespace {
@@ -389,6 +416,39 @@ TEST(PolicyValueNet, PredictIsThreadSafe) {
     }
   }
   for (float v : values) EXPECT_FLOAT_EQ(v, ref_value[0]);
+}
+
+TEST(PolicyValueNet, WarmPredictAllocatesNothing) {
+  // Once a caller's Activations and output tensors are sized, predict()
+  // makes no heap allocation: shapes are copied into the tensors' existing
+  // storage and every kernel buffer is per-thread and already grown.
+  NetConfig cfg;
+  cfg.height = 9;
+  cfg.width = 9;
+  const PolicyValueNet net(cfg, 5);
+  const QuantizedPolicyValueNet qnet(net);
+  Rng rng(6);
+  for (const bool int8 : {false, true}) {
+    for (const int batch : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (int8 ? "int8" : "fp32") << " B=" << batch);
+      const Tensor x = Tensor::randn({batch, cfg.in_channels, 9, 9}, rng, 1.0f);
+      Activations acts;
+      Tensor policy, value;
+      const auto predict = [&] {
+        if (int8) {
+          qnet.predict(x, acts, policy, value);
+        } else {
+          net.predict(x, acts, policy, value);
+        }
+      };
+      predict();
+      const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+      predict();
+      const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u);
+    }
+  }
 }
 
 TEST(Serialization, RoundTripsWeights) {

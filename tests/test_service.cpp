@@ -216,7 +216,9 @@ TEST(AsyncBatch, DrainFlushesPartialBatchFromBlockedSubmitter) {
     auto fut = queue.submit_future(input.data(), /*tag=*/5);
     fut.get();  // resolves only if drain() flushes the partial batch
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // drain() must run after the submission is queued: a drain that ran
+  // first would find nothing to flush and leave the submitter waiting.
+  while (queue.stats().submitted == 0) std::this_thread::yield();
   queue.drain();
   blocked.join();
 

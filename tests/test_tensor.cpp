@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "nn/conv2d.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -156,6 +157,176 @@ TEST(Gemm, FusedAbtBiasReluMatchesSeparatePasses) {
                      /*relu=*/true);
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_NEAR(got[i], expect[i], 1e-3f) << "i=" << i;
+}
+
+// --- arithmetic order --------------------------------------------------------
+// Every fp32 GEMM and the fp32 conv must round exactly like this scalar
+// model: within each 256-deep K block an FMA chain from +0 in K order, the
+// blocks added onto C in order (the first one stored unless accumulating),
+// then the bias, then ReLU. Any tile shape, operand layout or B-panel source
+// that keeps this order gives the same bits, which is what keeps play and
+// the e2e lane gate bitwise stable across kernel changes.
+
+constexpr int kRefKBlock = 256;
+
+float ref_madd(float a, float b, float c) {
+#if defined(__FMA__)
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+// A(i, p) = a[i*a_rs + p*a_ks], B(p, j) = b[p*b_ks + j*b_cs]; C row-major.
+void reference_gemm(const float* a, std::size_t a_rs, std::size_t a_ks,
+                    const float* b, std::size_t b_ks, std::size_t b_cs,
+                    float* c, int m, int n, int k, bool accumulate,
+                    const float* row_bias, const float* col_bias, bool relu) {
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j) {
+      float& out = c[static_cast<std::size_t>(i) * n + j];
+      for (int k0 = 0; k0 < k; k0 += kRefKBlock) {
+        float blk = 0.0f;
+        for (int p = k0; p < std::min(k, k0 + kRefKBlock); ++p)
+          blk = ref_madd(a[i * a_rs + p * a_ks], b[p * b_ks + j * b_cs], blk);
+        out = (k0 == 0 && !accumulate) ? blk : out + blk;
+      }
+      if (k == 0 && !accumulate) out = 0.0f;
+      if (row_bias != nullptr) out += row_bias[i];
+      if (col_bias != nullptr) out += col_bias[j];
+      if (relu) out = std::max(out, 0.0f);
+    }
+}
+
+::testing::AssertionResult bitwise_equal(const std::vector<float>& got,
+                                         const std::vector<float>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0)
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ArithmeticOrder, GemmFamilyMatchesScalarReferenceBitwise) {
+  // Every M in 1..17 crosses the row tile's remainders; the N values cross
+  // the column tile's (16 and 32 wide) and the K values its 256-deep blocks.
+  const int ns[] = {1, 2, 7, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 81, 100};
+  const int ks[] = {1, 4, 255, 256, 257, 576, 600};
+  for (const int k : ks)
+    for (int m = 1; m <= 17; ++m)
+      for (const int n : ns) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
+                                          << " k=" << k);
+        Rng rng(static_cast<std::uint64_t>(k) * 1000003u + m * 131u + n);
+        const std::size_t mn = static_cast<std::size_t>(m) * n;
+        const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+        const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
+        const auto row_bias = random_vec(static_cast<std::size_t>(m), rng);
+        const auto col_bias = random_vec(static_cast<std::size_t>(n), rng);
+        const auto c0 = random_vec(mn, rng);
+        // The same operands in the transposed layouts: A as [K, M] and B
+        // as [N, K].
+        std::vector<float> a_t(a.size()), b_t(b.size());
+        for (int i = 0; i < m; ++i)
+          for (int p = 0; p < k; ++p)
+            a_t[static_cast<std::size_t>(p) * m + i] =
+                a[static_cast<std::size_t>(i) * k + p];
+        for (int p = 0; p < k; ++p)
+          for (int j = 0; j < n; ++j)
+            b_t[static_cast<std::size_t>(j) * k + p] =
+                b[static_cast<std::size_t>(p) * n + j];
+        const bool acc = (m + n) % 2 == 0;
+        const bool relu = (m + n) % 3 != 0;
+
+        std::vector<float> want = c0, got = c0;
+        reference_gemm(a.data(), k, 1, b.data(), n, 1, want.data(), m, n, k,
+                       acc, nullptr, nullptr, false);
+        gemm(a.data(), b.data(), got.data(), m, n, k, acc);
+        ASSERT_TRUE(bitwise_equal(got, want)) << "gemm";
+
+        got = c0;
+        gemm_atb(a_t.data(), b.data(), got.data(), m, n, k, acc);
+        ASSERT_TRUE(bitwise_equal(got, want)) << "gemm_atb";
+
+        got = c0;
+        gemm_abt(a.data(), b_t.data(), got.data(), m, n, k, acc);
+        ASSERT_TRUE(bitwise_equal(got, want)) << "gemm_abt";
+
+        want = c0;
+        got = c0;
+        reference_gemm(a.data(), k, 1, b.data(), n, 1, want.data(), m, n, k,
+                       false, row_bias.data(), nullptr, relu);
+        gemm_bias_relu(a.data(), b.data(), row_bias.data(), got.data(), m, n,
+                       k, relu);
+        ASSERT_TRUE(bitwise_equal(got, want)) << "gemm_bias_relu";
+
+        want = c0;
+        got = c0;
+        reference_gemm(a.data(), k, 1, b.data(), n, 1, want.data(), m, n, k,
+                       false, nullptr, col_bias.data(), relu);
+        gemm_abt_bias_relu(a.data(), b_t.data(), col_bias.data(), got.data(),
+                           m, n, k, relu);
+        ASSERT_TRUE(bitwise_equal(got, want)) << "gemm_abt_bias_relu";
+      }
+}
+
+TEST(ArithmeticOrder, ConvForwardMatchesScalarReferenceBitwise) {
+  struct Case {
+    int cin, cout, ksize, h, w;
+  };
+  // k=3 with K = 270 (two K blocks), k=1 with K = 260; boards that are
+  // neither square nor a multiple of any tile width.
+  for (const Case cs : {Case{30, 11, 3, 7, 6}, Case{260, 5, 1, 5, 9}}) {
+    for (const int batch : {1, 3, 26}) {
+      for (const bool cache : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "k=" << cs.ksize << " B="
+                                          << batch << " col_cache=" << cache);
+        Rng rng(static_cast<std::uint64_t>(cs.ksize * 100 + batch));
+        Conv2d conv("c", cs.cin, cs.cout, cs.ksize);
+        conv.init(rng);
+        // Nonzero biases, so the epilogue's bias add is exercised.
+        Tensor& bias = conv.params()[1]->value;
+        bias.fill_uniform(rng, -0.5f, 0.5f);
+        const int hw = cs.h * cs.w;
+        const int kk = cs.cin * cs.ksize * cs.ksize;
+        const int cols = batch * hw;
+        Tensor x = Tensor::randn({batch, cs.cin, cs.h, cs.w}, rng, 1.0f);
+
+        // Reference: im2col columns, the scalar model, then the
+        // [Cout, B*HW] -> [B, Cout, HW] permute.
+        std::vector<float> col(static_cast<std::size_t>(kk) * cols);
+        im2col_batched(x.data(), batch, cs.cin, cs.h, cs.w, cs.ksize,
+                       cs.ksize / 2, col.data());
+        std::vector<float> ref(static_cast<std::size_t>(cs.cout) * cols);
+        reference_gemm(conv.weight().value.data(), kk, 1, col.data(), cols, 1,
+                       ref.data(), cs.cout, cols, kk, false,
+                       bias.data(), nullptr, true);
+        std::vector<float> lib(ref.size());
+        gemm_bias_relu(conv.weight().value.data(), col.data(), bias.data(),
+                       lib.data(), cs.cout, cols, kk, true);
+        ASSERT_TRUE(bitwise_equal(lib, ref)) << "im2col + gemm_bias_relu";
+        std::vector<float> want(ref.size());
+        for (int b = 0; b < batch; ++b)
+          for (int oc = 0; oc < cs.cout; ++oc)
+            for (int s = 0; s < hw; ++s)
+              want[(static_cast<std::size_t>(b) * cs.cout + oc) * hw + s] =
+                  ref[static_cast<std::size_t>(oc) * cols +
+                      static_cast<std::size_t>(b) * hw + s];
+
+        Tensor y, col_cache;
+        ConvWorkspace ws;
+        conv.forward(x, y, ws, cache ? &col_cache : nullptr,
+                     /*fuse_relu=*/true);
+        ASSERT_TRUE(bitwise_equal(
+            std::vector<float>(y.data(), y.data() + y.numel()), want))
+            << "Conv2d::forward";
+      }
+    }
+  }
 }
 
 TEST(Im2Col, BatchedMatchesPerSample) {
